@@ -23,6 +23,11 @@ def is_polyhedral(g: Graph) -> bool:
     return g.p >= 4 and is_3_connected(g) and is_planar(g)
 
 
+def _require_polyhedral(g: Graph) -> None:
+    if not is_polyhedral(g):
+        raise NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
+
+
 def dual(g: Graph) -> Graph:
     """Planar dual: one vertex per face, edges between facing faces.
 
@@ -30,8 +35,7 @@ def dual(g: Graph) -> Graph:
     sorted order produced by the embedder), but only the isomorphism
     class is meaningful.
     """
-    if not is_polyhedral(g):
-        raise NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
+    _require_polyhedral(g)
     faces = embed(g).faces().faces
     side: dict[tuple[int, int], int] = {}
     for idx, face in enumerate(faces):
@@ -49,4 +53,10 @@ def dual(g: Graph) -> Graph:
 
 
 def is_self_dual(g: Graph) -> bool:
+    """Raises NotPolyhedralError unless ``g`` is polyhedral."""
+    # the dual has q - p + 2 vertices; when that differs from p it is not
+    # built, since it may exceed the supported order
+    if 2 * g.p != g.q + 2:
+        _require_polyhedral(g)
+        return False
     return are_isomorphic(g, dual(g))

@@ -7,7 +7,11 @@ Production route, per order p:
   on at least five vertices arises this way because it has an edge
   whose contraction stays maximal planar,
 * sparser sizes follow by deleting one edge at a time, keeping only
-  3-connected results.  This reaches everything: a polyhedral graph
+  3-connected results.  The parent is already 3-connected, so G - ab
+  is 3-connected exactly when a and b are still joined by three
+  internally disjoint paths (Menger); that one local test replaces a
+  search over every cut of size <= 2, and the child graph is built only
+  for deletions that pass.  This reaches everything: a polyhedral graph
   below the maximum size has a face of length at least four, two
   interleaved chords of that face cannot both be drawn in the disc
   outside it, so some chord is absent and can be added, and repeating
@@ -25,7 +29,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .connectivity import is_3_connected
+from .connectivity import _three_connected_without_edge, is_3_connected
 from .duality import dual
 from .graphs import DegreeSequence, Graph, complete
 from .isomorphism import CanonicalForm, canonical_form, canonical_graph
@@ -97,8 +101,8 @@ def _census_by_order(p: int) -> dict[int, tuple[Graph, ...]]:
         found: dict[CanonicalForm, Graph] = {}
         for g in out[q + 1]:
             for a, b in g.edges():
-                h = g.remove_edge(a, b)
-                if is_3_connected(h):
+                if _three_connected_without_edge(g, a, b):
+                    h = g.remove_edge(a, b)
                     cf = canonical_form(h)
                     if cf not in found:
                         found[cf] = canonical_graph(h)
@@ -122,8 +126,9 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     if r < p:
         found = {}
         for h in enumerate_polyhedra(r, q):
-            d = canonical_graph(dual(h))
-            found[canonical_form(d)] = d
+            # both calls share one cached canonical labelling of d
+            d = dual(h)
+            found[canonical_form(d)] = canonical_graph(d)
         return _sorted_classes(found)
     return _census_by_order(p)[q]
 

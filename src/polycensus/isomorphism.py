@@ -37,17 +37,18 @@ class CanonicalForm:
         return int.from_bytes(self.certificate[1:3], "big")
 
 
-def _refine(p: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
+def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
     """Split color classes by neighbour-color multisets until stable.
 
-    Output colors are ranks of invariant keys, so they do not depend on
-    the labelling of the input graph beyond genuine structure.
+    ``nbrs[v]`` lists the neighbours of v.  Output colors are ranks of
+    invariant keys, so they do not depend on the labelling of the input
+    graph beyond genuine structure.
     """
     while True:
-        keys = []
-        for v in range(p):
-            nbr = sorted(colors[u] for u in bits(adj[v]))
-            keys.append((colors[v], tuple(nbr)))
+        keys = [
+            (colors[v], tuple(sorted([colors[u] for u in nb])))
+            for v, nb in enumerate(nbrs)
+        ]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [rank[k] for k in keys]
         if new == colors:
@@ -74,6 +75,8 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     if q2 == 0 or q2 == p * (p - 1):
         return tuple(range(p))  # empty or complete: every labelling ties
 
+    # built per search, not cached: a cache would keep one list per graph
+    nbrs = [tuple(bits(row)) for row in adj]
     best_bits: int | None = None
     best_label: tuple[int, ...] | None = None
 
@@ -126,11 +129,11 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
                     continue
                 explored.append(v)
             child = _refine(
-                p, adj, [colors[u] * 2 + (0 if u == v else 1) for u in range(p)]
+                nbrs, [colors[u] * 2 + (0 if u == v else 1) for u in range(p)]
             )
             rec(child, depth + 1)
 
-    rec(_refine(p, adj, [0] * p), 0)
+    rec(_refine(nbrs, [0] * p), 0)
     assert best_label is not None
     return best_label
 

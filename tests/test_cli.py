@@ -136,6 +136,15 @@ def test_check_subcommand(capsys):
     )
 
 
+def test_check_polyhedron_with_more_faces_than_a_graph_holds(capsys):
+    code, out, err = run(capsys, "check", "K|fJ@cXBIK_^")  # icosahedron, 20 faces
+    assert code == 0 and err == ""
+    assert out.strip() == (
+        "planar=true 3-connected=true polyhedral=true "
+        "self-dual=false self-complementary=false"
+    )
+
+
 def test_malformed_graph6_reports_position(capsys):
     code, _, err = run(capsys, "check", "C!")
     assert code == 2

@@ -12,6 +12,16 @@ def cube():
     )
 
 
+def icosahedron():
+    # apex 0, upper ring 1..5, lower ring 6..10, apex 11
+    edges = [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
+    for k in range(5):
+        up, up_next = 1 + k, 1 + (k + 1) % 5
+        down, down_next = 6 + k, 6 + (k + 1) % 5
+        edges += [(up, up_next), (down, down_next), (up, down), (up_next, down)]
+    return pc.Graph.from_edges(12, edges)
+
+
 def test_is_polyhedral():
     assert is_polyhedral(pc.complete(4))
     assert is_polyhedral(cube())
@@ -49,6 +59,20 @@ def test_self_dual_examples():
         assert is_self_dual(pc.wheel(rim))
     assert not is_self_dual(cube())
     assert not is_self_dual(pc.complete_multipartite(2, 2, 2))
+
+
+def test_self_dual_past_the_order_limit():
+    # the dual has 20 vertices, more than a Graph may hold; the face
+    # count alone settles the answer
+    ico = icosahedron()
+    assert ico.q == 30 and is_polyhedral(ico)
+    assert ico.degree_sequence().compact() == "5" * 12
+    assert not is_self_dual(ico)
+    # a non-polyhedral input is still rejected, whatever its face count
+    with pytest.raises(NotPolyhedralError):
+        is_self_dual(pc.complete_bipartite(3, 3))
+    with pytest.raises(NotPolyhedralError):
+        is_self_dual(pc.cycle(6))
 
 
 def test_dual_pairs_in_census():

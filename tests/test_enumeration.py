@@ -24,6 +24,9 @@ CENSUS_ROWS = {
 
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
 
+# classes per size q, OEIS A002840
+SIZE_TOTALS = dict(zip(range(6, 18), (1, 0, 1, 2, 2, 4, 12, 22, 58, 158, 448, 1342)))
+
 
 def certs(graphs):
     return {pc.canonical_form(g) for g in graphs}
@@ -75,6 +78,17 @@ def test_census_against_oracle_exhaustive():
 def test_census_against_oracle_order_8():
     for q in (12, 13, 14):
         assert certs(enumerate_polyhedra(8, q)) == certs(exhaustive_polyhedra(8, q))
+
+
+def test_size_totals_against_a002840():
+    for q, total in SIZE_TOTALS.items():
+        by_p = pc.enumerate_by_size(q)
+        assert sum(len(v) for v in by_p.values()) == total, q
+        for p, classes in by_p.items():
+            # duality pairs the classes of (p, q) with those of (q - p + 2, q)
+            assert len(classes) == len(by_p[q - p + 2]), (p, q)
+            for g in classes:
+                assert pc.canonical_graph(g) == g
 
 
 def test_dual_route_matches_direct_descent():

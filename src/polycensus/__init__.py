@@ -52,7 +52,6 @@ from .graphs import (
     MAX_VERTICES,
     DegreeSequence,
     Graph,
-    complement_degree_sequence,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -127,7 +126,6 @@ __all__ = [
     "MAX_VERTICES",
     "DegreeSequence",
     "Graph",
-    "complement_degree_sequence",
     "complete",
     "complete_bipartite",
     "complete_multipartite",

@@ -27,7 +27,7 @@ from .catalog import (
     order_census,
 )
 from .classify import ClassificationError, solve_question, validate_report
-from .duality import dual, is_polyhedral, is_self_dual
+from .duality import NotPolyhedralError, dual, is_self_dual
 from .enumeration import enumerate_by_size
 from .graph6 import decode, encode
 from .graphs import Graph
@@ -129,9 +129,11 @@ def cmd_complement(args) -> int:
 
 def cmd_dual(args) -> int:
     for line, g in _input_graphs(args):
-        if not is_polyhedral(g):
-            raise CliInputError(f"dual needs a polyhedral graph, got {line}")
-        sys.stdout.write(encode(dual(g)) + "\n")
+        try:
+            d = dual(g)
+        except NotPolyhedralError:
+            raise CliInputError(f"dual needs a polyhedral graph, got {line}") from None
+        sys.stdout.write(encode(d) + "\n")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .connectivity import is_3_connected
 from .graphs import Graph
 from .isomorphism import are_isomorphic
-from .planarity import embed, is_planar
+from .planarity import NonPlanarGraphError, embed, is_planar
 
 
 class NotPolyhedralError(ValueError):
@@ -23,9 +23,8 @@ def is_polyhedral(g: Graph) -> bool:
     return g.p >= 4 and is_3_connected(g) and is_planar(g)
 
 
-def _require_polyhedral(g: Graph) -> None:
-    if not is_polyhedral(g):
-        raise NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
+def _not_polyhedral(g: Graph) -> NotPolyhedralError:
+    return NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
 
 
 def dual(g: Graph) -> Graph:
@@ -33,10 +32,15 @@ def dual(g: Graph) -> Graph:
 
     Deterministic for a given labelled input (faces are numbered in the
     sorted order produced by the embedder), but only the isomorphism
-    class is meaningful.
+    class is meaningful.  Checks 3-connectivity, then embeds once: the
+    embedding is the planarity test.
     """
-    _require_polyhedral(g)
-    faces = embed(g).faces().faces
+    if not (g.p >= 4 and is_3_connected(g)):
+        raise _not_polyhedral(g)
+    try:
+        faces = embed(g).faces().faces
+    except NonPlanarGraphError:
+        raise _not_polyhedral(g) from None
     side: dict[tuple[int, int], int] = {}
     for idx, face in enumerate(faces):
         m = len(face)
@@ -57,6 +61,7 @@ def is_self_dual(g: Graph) -> bool:
     # the dual has q - p + 2 vertices; when that differs from p it is not
     # built, since it may exceed the supported order
     if 2 * g.p != g.q + 2:
-        _require_polyhedral(g)
+        if not is_polyhedral(g):
+            raise _not_polyhedral(g)
         return False
     return are_isomorphic(g, dual(g))

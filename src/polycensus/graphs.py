@@ -9,12 +9,14 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 16
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# set bit positions of every byte value, for the low and the high byte
+_LOW = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+_HIGH = tuple(tuple(i + 8 for i in range(8) if m >> i & 1) for m in range(256))
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask``, lowest first; ``0 <= mask < 1 << 16``."""
+    return _LOW[mask & 255] + _HIGH[mask >> 8]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,11 +74,6 @@ class DegreeSequence:
         return self.degrees[i]
 
 
-def complement_degree_sequence(d: DegreeSequence) -> DegreeSequence:
-    """Function form of DegreeSequence.complement."""
-    return d.complement()
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of vertex ``v``."""
@@ -122,7 +119,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
+        return bits(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)

@@ -76,7 +76,7 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(range(p))  # empty or complete: every labelling ties
 
     # built per search, not cached: a cache would keep one list per graph
-    nbrs = [tuple(bits(row)) for row in adj]
+    nbrs = [bits(row) for row in adj]
     best_bits: int | None = None
     best_label: tuple[int, ...] | None = None
 

@@ -4,7 +4,9 @@ Two independent routes are provided on purpose:
 
 * ``is_planar`` / ``embed`` build an explicit embedding face by face
   (insert one fragment path at a time, always handling a fragment with
-  the fewest admissible faces first, per block of the graph).
+  the fewest admissible faces first, per block of the graph).  Both
+  run the same single pass over the blocks, so ``dual``, which checks
+  3-connectivity and then calls ``embed``, embeds its input once.
 * ``kuratowski_oracle`` searches directly for a K5 or K3,3 subdivision
   and knows nothing about embeddings.
 
@@ -331,23 +333,35 @@ def _block_pieces(g: Graph) -> list[tuple[list[int], dict[int, int]]]:
     return pieces
 
 
+def _rotations(g: Graph, need_rotations: bool) -> list[list[int]] | None:
+    """Rotation lists of a planar embedding, embedding each block once.
+
+    The one pass behind ``is_planar``, ``embed`` and so ``dual``.  Raises
+    NonPlanarGraphError on non-planar input.  More than 3p - 6 edges is
+    impossible for a planar simple graph on p >= 3 vertices.  Any graph
+    on at most 4 vertices or at most 8 edges is planar (a K5 subdivision
+    needs 10 edges, a K3,3 subdivision 9), so when ``need_rotations`` is
+    false such a graph returns None without being embedded.
+    """
+    if g.p >= 3 and g.q > 3 * g.p - 6:
+        raise NonPlanarGraphError("more than 3p - 6 edges")
+    if not need_rotations and (g.p <= 4 or g.q <= 8):
+        return None
+    merged: list[list[int]] = [[] for _ in range(g.p)]
+    for vs, adj in _block_pieces(g):
+        rot = _embed_block(vs, adj)
+        for v in vs:
+            merged[v].extend(rot[v])
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
 def is_planar(g: Graph) -> bool:
-    """Embedding-based planarity test.
-
-    Shortcuts: any graph on at most 4 vertices or at most 8 edges is
-    planar (a K5 subdivision needs 10 edges, a K3,3 subdivision 9);
-    more than 3p - 6 edges is impossible for a planar simple graph.
-    """
-    if g.p <= 4 or g.q <= 8:
-        return True
-    if g.q > 3 * g.p - 6:
-        return False
+    """Embedding-based planarity test."""
     try:
-        for vs, adj in _block_pieces(g):
-            _embed_block(vs, adj)
+        _rotations(g, need_rotations=False)
     except NonPlanarGraphError:
         return False
     return True
@@ -361,14 +375,8 @@ def embed(g: Graph) -> RotationSystem:
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    if g.p == 1:
-        return RotationSystem(((),))
-    merged: list[list[int]] = [[] for _ in range(g.p)]
-    for vs, adj in _block_pieces(g):
-        rot = _embed_block(vs, adj)
-        for v in vs:
-            merged[v].extend(rot[v])
-    return RotationSystem(tuple(tuple(r) for r in merged))
+    rotations = _rotations(g, need_rotations=True)
+    return RotationSystem(tuple(tuple(r) for r in rotations))
 
 
 def kuratowski_oracle(g: Graph) -> bool:

@@ -109,6 +109,14 @@ def random_graph(p: int, q: int, rng: random.Random) -> Graph:
     return Graph.from_edges(p, rng.sample(pairs, q))
 
 
+def petersen() -> Graph:
+    """3-connected, 15 edges: under 3p - 6 = 24, yet not planar."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
 def shuffled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.p))
     rng.shuffle(perm)

@@ -51,7 +51,7 @@ def test_candidate_degree_rows():
         (16, 10), (15, 9), (14, 8),
     ]
     for r in rows:
-        assert pc.complement_degree_sequence(r.row) == r.complement_row
+        assert r.row.complement() == r.complement_row
 
 
 def test_solve_question_pruned():

@@ -6,6 +6,7 @@ from polycensus.enumeration import _census_by_order
 from tests.oracles import (
     brute_3_connected,
     neighbor_sets,
+    petersen,
     sample_graphs,
     set_connected,
 )
@@ -67,13 +68,6 @@ def test_3_connected_census_members_and_complements():
         perm = list(range(8))
         rng.shuffle(perm)
         assert pc.is_3_connected(g.relabel(tuple(perm)))
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return pc.Graph.from_edges(10, outer + inner + spokes)
 
 
 def assert_deletions_agree(g):

@@ -2,6 +2,8 @@ import pytest
 
 import polycensus as pc
 from polycensus import NotPolyhedralError, dual, is_polyhedral, is_self_dual
+from polycensus import planarity
+from tests.oracles import petersen
 
 
 def cube():
@@ -50,6 +52,26 @@ def test_dual_rejects_non_polyhedra():
         dual(pc.cycle(6))
     with pytest.raises(NotPolyhedralError):
         dual(pc.complete_bipartite(3, 3))
+    # 3-connected and non-planar: K5, K6 and K4,4 exceed 3p - 6 edges,
+    # the Petersen graph does not and fails inside the embedder
+    for g in (pc.complete(5), pc.complete(6), pc.complete_bipartite(4, 4), petersen()):
+        assert pc.is_3_connected(g)
+        with pytest.raises(NotPolyhedralError):
+            dual(g)
+
+
+def test_dual_embeds_once(monkeypatch):
+    calls = []
+    embed_block = planarity._embed_block
+
+    def counting(vs, adj):
+        calls.append(vs)
+        return embed_block(vs, adj)
+
+    monkeypatch.setattr(planarity, "_embed_block", counting)
+    g = cube()
+    assert pc.are_isomorphic(dual(g), pc.complete_multipartite(2, 2, 2))
+    assert calls == [list(range(8))]
 
 
 def test_self_dual_examples():

@@ -3,6 +3,7 @@ from hypothesis import given
 
 import polycensus as pc
 from polycensus import DegreeSequence, Graph
+from polycensus.graphs import bits
 from tests import strategies
 
 
@@ -22,6 +23,19 @@ def test_degrees_and_neighbors():
     assert sorted(g.neighbors(4)) == [0, 1, 2, 3]
     assert g.degree_sequence() == DegreeSequence((4, 3, 3, 3, 3))
     assert sum(g.degree(v) for v in range(g.p)) == 2 * g.q
+
+
+def test_bits_every_mask():
+    def lowest_first(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+
+    for m in range(1 << 16):
+        assert tuple(bits(m)) == lowest_first(m)
 
 
 def test_graph_validation():
@@ -113,14 +127,12 @@ def test_degree_sequence_type():
 def test_complement_degree_sequence():
     # complement of the (8,14) self-paired row is itself
     row = DegreeSequence.from_compact("44443333")
-    assert pc.complement_degree_sequence(row) == row
-    assert pc.complement_degree_sequence(
-        DegreeSequence.from_compact("33333333")
-    ) == DegreeSequence.from_compact("44444444")
+    assert row.complement() == row
+    assert DegreeSequence.from_compact("33333333").complement() == (
+        DegreeSequence.from_compact("44444444")
+    )
 
 
 @given(strategies.graphs(min_p=2, max_p=8))
 def test_complement_degree_sequence_matches_graphs(g):
-    assert g.complement().degree_sequence() == pc.complement_degree_sequence(
-        g.degree_sequence()
-    )
+    assert g.complement().degree_sequence() == g.degree_sequence().complement()

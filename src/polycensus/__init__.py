@@ -42,7 +42,6 @@ from .enumeration import (
     MAX_ENUM_ORDER,
     enumerate_by_size,
     enumerate_polyhedra,
-    exhaustive_polyhedra,
     filter_by_degree_sequence,
     order_bounds,
     triangulations,
@@ -74,7 +73,6 @@ from .planarity import (
     RotationSystem,
     embed,
     is_planar,
-    kuratowski_oracle,
     trace_faces,
 )
 
@@ -116,7 +114,6 @@ __all__ = [
     "MAX_ENUM_ORDER",
     "enumerate_by_size",
     "enumerate_polyhedra",
-    "exhaustive_polyhedra",
     "filter_by_degree_sequence",
     "order_bounds",
     "triangulations",
@@ -144,6 +141,5 @@ __all__ = [
     "RotationSystem",
     "embed",
     "is_planar",
-    "kuratowski_oracle",
     "trace_faces",
 ]

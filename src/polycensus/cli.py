@@ -145,11 +145,14 @@ def cmd_check(args) -> int:
         planar = is_planar(g)
         three = is_3_connected(g)
         poly = planar and three
+        # a dual with q - p + 2 != p vertices cannot match; skipping
+        # is_self_dual then spares a second polyhedrality test
+        self_dual = poly and 2 * g.p == g.q + 2 and is_self_dual(g)
         sys.stdout.write(
             f"planar={word(planar)}"
             f" 3-connected={word(three)}"
             f" polyhedral={word(poly)}"
-            f" self-dual={word(poly and is_self_dual(g))}"
+            f" self-dual={word(self_dual)}"
             f" self-complementary={word(is_self_complementary(g))}\n"
         )
     return 0

@@ -1,14 +1,12 @@
 """Planarity testing and combinatorial embeddings.
 
-Two independent routes are provided on purpose:
-
-* ``is_planar`` / ``embed`` build an explicit embedding face by face
-  (insert one fragment path at a time, always handling a fragment with
-  the fewest admissible faces first, per block of the graph).  Both
-  run the same single pass over the blocks, so ``dual``, which checks
-  3-connectivity and then calls ``embed``, embeds its input once.
-* ``kuratowski_oracle`` searches directly for a K5 or K3,3 subdivision
-  and knows nothing about embeddings.
+``is_planar`` / ``embed`` build an explicit embedding face by face
+(insert one fragment path at a time, always handling a fragment with
+the fewest admissible faces first, per block of the graph).  Both run
+the same single pass over the blocks, so ``dual``, which checks
+3-connectivity and then calls ``embed``, embeds its input once.  The
+tests check planarity against a direct search for a K5 or K3,3
+subdivision that knows nothing about embeddings.
 
 An embedding is a rotation system: the cyclic order of neighbours
 around each vertex.  Faces are recovered by walking directed edges with
@@ -18,7 +16,6 @@ the rule next(u -> v) = (v, successor of u in the rotation at v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .connectivity import is_connected
 from .graphs import Graph, bits
@@ -378,59 +375,3 @@ def embed(g: Graph) -> RotationSystem:
     rotations = _rotations(g, need_rotations=True)
     return RotationSystem(tuple(tuple(r) for r in rotations))
 
-
-def kuratowski_oracle(g: Graph) -> bool:
-    """True iff g has no K5 and no K3,3 subdivision.
-
-    Exponential search meant as an independent check on small graphs;
-    it shares no machinery with is_planar.  Capped at 9 vertices.
-    """
-    if g.p > 9:
-        raise ValueError("subdivision search is kept to p <= 9")
-    if g.p <= 4 or g.q <= 8:
-        return True
-
-    adj = g.adj
-    full = (1 << g.p) - 1
-
-    def linked(branch: tuple[int, ...], pairs: list[tuple[int, int]]) -> bool:
-        # internally disjoint paths realizing all pairs, interiors drawn
-        # from vertices outside the branch set, each used at most once
-        base = full
-        for v in branch:
-            base &= ~(1 << v)
-
-        def place(i: int, avail: int) -> bool:
-            if i == len(pairs):
-                return True
-            a, b = pairs[i]
-
-            def walk(x: int, avail_now: int) -> bool:
-                if adj[x] >> b & 1:
-                    # a shortest exit never hurts: any completion using
-                    # more interior vertices leaves fewer for later pairs
-                    return place(i + 1, avail_now)
-                for y in bits(adj[x] & avail_now):
-                    if walk(y, avail_now & ~(1 << y)):
-                        return True
-                return False
-
-            return walk(a, avail)
-
-        return place(0, base)
-
-    deg4 = [v for v in range(g.p) if adj[v].bit_count() >= 4]
-    for branch in combinations(deg4, 5):
-        if linked(branch, list(combinations(branch, 2))):
-            return False
-
-    deg3 = [v for v in range(g.p) if adj[v].bit_count() >= 3]
-    for six in combinations(deg3, 6):
-        rest = six[1:]
-        for mates in combinations(rest, 2):
-            side_a = (six[0],) + mates
-            side_b = tuple(v for v in rest if v not in mates)
-            if linked(six, [(a, b) for a in side_a for b in side_b]):
-                return False
-
-    return True

@@ -10,8 +10,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
-from polycensus import Graph, canonical_form, canonical_graph, empty_graph
+from polycensus import (
+    Graph,
+    canonical_form,
+    canonical_graph,
+    empty_graph,
+    is_3_connected,
+    is_planar,
+)
 
 # classes of simple graphs on 1..7 unlabeled vertices, a published
 # sequence; pins the universe builder and the canonical form at once
@@ -129,3 +137,153 @@ def sample_graphs(p: int, count: int, seed: int) -> list[Graph]:
     rng = random.Random(seed)
     hi = p * (p - 1) // 2
     return [random_graph(p, rng.randrange(p - 1, hi + 1), rng) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# census by direct filtration
+
+def _degree_rows(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Weakly decreasing degree vectors in [3, p-1] summing to 2q."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], left: int, cap: int) -> None:
+        slots = p - len(prefix)
+        if slots == 0:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        for d in range(min(cap, left), 2, -1):
+            rest = left - d
+            if 3 * (slots - 1) <= rest <= d * (slots - 1):
+                rec(prefix + [d], rest, d)
+
+    rec([], 2 * q, p - 1)
+    return tuple(out)
+
+
+def _labeled_graphs_with_degrees(row: tuple[int, ...]):
+    """Every labelled simple graph realizing the given degree vector.
+
+    Vertex v's edges to later vertices are chosen once v's earlier
+    edges are fixed; branches that strand a later vertex above its
+    remaining capacity are cut.
+    """
+    p = len(row)
+
+    def rec(v: int, rem: list[int], adj: list[int]):
+        if v == p:
+            yield Graph(p, tuple(adj))
+            return
+        cands = [u for u in range(v + 1, p) if rem[u] > 0]
+        if rem[v] > len(cands):
+            return
+        later = p - v - 1
+        for pick in itertools.combinations(cands, rem[v]):
+            rem2 = list(rem)
+            adj2 = list(adj)
+            for u in pick:
+                rem2[u] -= 1
+                adj2[v] |= 1 << u
+                adj2[u] |= 1 << v
+            rem2[v] = 0
+            if all(rem2[u] <= later - 1 for u in range(v + 1, p)):
+                yield from rec(v + 1, rem2, adj2)
+
+    yield from rec(0, list(row), [0] * p)
+
+
+@cache
+def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
+    """Census by direct filtration; shares no generation machinery with
+    enumerate_polyhedra.
+
+    p <= 7 scans every q-subset of vertex pairs; p = 8 scans labelled
+    graphs realizing each admissible degree vector.
+    """
+    if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
+        return ()
+    if p > 8:
+        raise ValueError("direct filtration is kept to p <= 8")
+    found = {}
+    if p <= 7:
+        pairs = list(itertools.combinations(range(p), 2))
+        for chosen in itertools.combinations(pairs, q):
+            degs = [0] * p
+            for a, b in chosen:
+                degs[a] += 1
+                degs[b] += 1
+            if min(degs) < 3:
+                continue
+            g = Graph.from_edges(p, chosen)
+            if is_3_connected(g) and is_planar(g):
+                cf = canonical_form(g)
+                if cf not in found:
+                    found[cf] = canonical_graph(g)
+    else:
+        for row in _degree_rows(p, q):
+            for g in _labeled_graphs_with_degrees(row):
+                if is_3_connected(g) and is_planar(g):
+                    cf = canonical_form(g)
+                    if cf not in found:
+                        found[cf] = canonical_graph(g)
+    return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
+
+
+# ---------------------------------------------------------------------------
+# planarity by subdivision search
+
+def kuratowski_oracle(g: Graph) -> bool:
+    """True iff g has no K5 and no K3,3 subdivision.
+
+    Exponential search meant as an independent check on small graphs;
+    it shares no machinery with is_planar.  Capped at 9 vertices.
+    """
+    if g.p > 9:
+        raise ValueError("subdivision search is kept to p <= 9")
+    if g.p <= 4 or g.q <= 8:
+        return True
+
+    adj = g.adj
+    full = (1 << g.p) - 1
+
+    def linked(branch: tuple[int, ...], pairs: list[tuple[int, int]]) -> bool:
+        # internally disjoint paths realizing all pairs, interiors drawn
+        # from vertices outside the branch set, each used at most once
+        base = full
+        for v in branch:
+            base &= ~(1 << v)
+
+        def place(i: int, avail: int) -> bool:
+            if i == len(pairs):
+                return True
+            a, b = pairs[i]
+
+            def walk(x: int, avail_now: int) -> bool:
+                if adj[x] >> b & 1:
+                    # a shortest exit never hurts: any completion using
+                    # more interior vertices leaves fewer for later pairs
+                    return place(i + 1, avail_now)
+                for y in g.neighbors(x):
+                    if avail_now >> y & 1 and walk(y, avail_now & ~(1 << y)):
+                        return True
+                return False
+
+            return walk(a, avail)
+
+        return place(0, base)
+
+    deg4 = [v for v in range(g.p) if adj[v].bit_count() >= 4]
+    for branch in itertools.combinations(deg4, 5):
+        if linked(branch, list(itertools.combinations(branch, 2))):
+            return False
+
+    deg3 = [v for v in range(g.p) if adj[v].bit_count() >= 3]
+    for six in itertools.combinations(deg3, 6):
+        rest = six[1:]
+        for mates in itertools.combinations(rest, 2):
+            side_a = (six[0],) + mates
+            side_b = tuple(v for v in rest if v not in mates)
+            if linked(six, [(a, b) for a in side_a for b in side_b]):
+                return False
+
+    return True

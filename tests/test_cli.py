@@ -5,6 +5,7 @@ import json
 import pytest
 
 import polycensus as pc
+from polycensus import cli, duality, planarity
 from polycensus.cli import main
 
 
@@ -143,6 +144,33 @@ def test_check_polyhedron_with_more_faces_than_a_graph_holds(capsys):
         "planar=true 3-connected=true polyhedral=true "
         "self-dual=false self-complementary=false"
     )
+
+
+def test_check_tests_polyhedrality_once_when_not_self_dual(capsys, monkeypatch):
+    cube = pc.encode(pc.dual(pc.complete_multipartite(2, 2, 2)))
+    calls = []
+    embed_block = planarity._embed_block
+    three = cli.is_3_connected
+
+    def counting_embed(vs, adj):
+        calls.append("embed")
+        return embed_block(vs, adj)
+
+    def counting_three(g):
+        calls.append("3c")
+        return three(g)
+
+    monkeypatch.setattr(planarity, "_embed_block", counting_embed)
+    for module in (cli, duality):
+        monkeypatch.setattr(module, "is_3_connected", counting_three)
+    code, out, _ = run(capsys, "check", cube)  # 2p != q + 2: never self-dual
+    assert code == 0 and "self-dual=false" in out
+    assert sorted(calls) == ["3c", "embed"]
+    calls.clear()
+    # W5 has 2p = q + 2, so dual() still checks its own input
+    code, out, _ = run(capsys, "check", pc.encode(pc.wheel(5)))
+    assert code == 0 and "self-dual=true" in out
+    assert sorted(calls) == ["3c", "3c", "embed", "embed"]
 
 
 def test_malformed_graph6_reports_position(capsys):

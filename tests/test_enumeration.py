@@ -6,11 +6,18 @@ filters raw edge subsets.  They share no strategy, so agreement on
 every cell is the strongest evidence either is right.
 """
 
+import random
+
 import pytest
 
 import polycensus as pc
-from polycensus import enumerate_polyhedra, exhaustive_polyhedra, order_bounds
-from polycensus.enumeration import _census_by_order
+from polycensus import enumerate_polyhedra, enumeration, order_bounds
+from polycensus.enumeration import (
+    _accepted_deletions,
+    _census_by_order,
+    _embedded_census,
+)
+from tests.oracles import exhaustive_polyhedra
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
 CENSUS_ROWS = {
@@ -89,6 +96,57 @@ def test_size_totals_against_a002840():
             assert len(classes) == len(by_p[q - p + 2]), (p, q)
             for g in classes:
                 assert pc.canonical_graph(g) == g
+
+
+def test_carried_rotations_embed_their_classes():
+    # a wrong relabelling of the carried rotations would otherwise show
+    # only as classes missing from the census
+    for p in range(4, 10):
+        for q, classes in _embedded_census(p).items():
+            assert tuple(g for g, _ in classes) == _census_by_order(p)[q]
+            for g, rot in classes:
+                for v in range(p):
+                    assert set(rot[v]) == set(g.neighbors(v)), (p, q, v)
+                rs = pc.RotationSystem(rot)
+                assert len(rs.faces()) == q - p + 2, (p, q)
+
+
+def test_acceptance_rule_ignores_labels():
+    # relabelling a parent and its rotations must carry its accepted
+    # deletions along; a score that read labels would move them
+    rng = random.Random(8)
+    for p in range(5, 9):
+        for classes in _embedded_census(p).values():
+            for g, rot in classes:
+                perm = list(range(p))
+                rng.shuffle(perm)
+                moved = [()] * p
+                for v, r in enumerate(rot):
+                    moved[perm[v]] = tuple(perm[u] for u in r)
+                want = {
+                    frozenset((perm[a], perm[b]))
+                    for a, b in _accepted_deletions(g, rot)
+                }
+                got = _accepted_deletions(g.relabel(perm), tuple(moved))
+                assert {frozenset(e) for e in got} == want, pc.encode(g)
+
+
+def test_acceptance_skips_most_canonical_forms(monkeypatch):
+    # 1,465 deletions from the order-8 classes are 3-connected; without
+    # the acceptance rule each of them was canonically labelled
+    enumeration.triangulations(8)  # cached; its labels are not counted
+    calls = []
+    form = enumeration.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return form(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counting)
+    # the undecorated function runs a fresh census and leaves the caches be
+    census = _embedded_census.__wrapped__(8)
+    assert len(calls) < 1465 // 2
+    assert {q: len(v) for q, v in census.items()} == CENSUS_ROWS[8]
 
 
 def test_dual_route_matches_direct_descent():

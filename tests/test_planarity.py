@@ -9,10 +9,9 @@ from polycensus import (
     RotationSystem,
     embed,
     is_planar,
-    kuratowski_oracle,
     trace_faces,
 )
-from tests.oracles import sample_graphs, shuffled
+from tests.oracles import kuratowski_oracle, sample_graphs, shuffled
 
 
 def cube():

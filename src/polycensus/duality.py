@@ -4,9 +4,15 @@ A graph is polyhedral when it is simple, planar and 3-connected.  Such
 a graph has an essentially unique embedding, so its dual is a single
 well-defined isomorphism class, again polyhedral, with
 p* = q - p + 2 vertices and q* = q edges.
+
+``_face_graph`` builds a dual from the face walks of a given embedding.
+``dual`` embeds its input and passes the sorted faces; the census passes
+the faces of the rotation system it already carries for each class.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .connectivity import is_3_connected
 from .graphs import Graph
@@ -41,6 +47,17 @@ def dual(g: Graph) -> Graph:
         faces = embed(g).faces().faces
     except NonPlanarGraphError:
         raise _not_polyhedral(g) from None
+    return _face_graph(g, faces)
+
+
+def _face_graph(g: Graph, faces: Sequence[Sequence[int]]) -> Graph:
+    """Dual of the polyhedral ``g`` from the face walks of an embedding.
+
+    Face k of ``faces`` becomes vertex k, and each edge uv of g joins the
+    faces that hold the darts u -> v and v -> u.
+    """
+    # Euler's formula for a connected plane graph
+    assert len(faces) == g.q - g.p + 2
     side: dict[tuple[int, int], int] = {}
     for idx, face in enumerate(faces):
         m = len(face)

@@ -18,14 +18,21 @@ Production route, per order p:
   climbs to a maximal planar graph through polyhedral graphs,
 * when the dual order q - p + 2 is smaller than p, the census is built
   on the dual side and dualized back, which is a bijection on classes.
+  Each dual is read off the rotation system carried with its class
+  (below): one vertex per face, one edge across each edge.  A
+  polyhedral graph has one embedding up to mirror image (Whitney), so
+  these faces give the same dual class as any other embedding would,
+  and no class is tested or embedded again.
 
 Most deletion children are isomorphic to a child of another parent, so
 a child is canonically labelled only when its deleted edge is a best
 way back up (canonical construction path acceptance, after McKay,
 *Isomorph-free exhaustive generation*, 1998).  Each class carries its
-rotation system down the descent: the triangulations are embedded once,
-and the rotations of h = g - ab are those of g with b dropped at a and
-a dropped at b.  For a polyhedral h let C(h) be the pairs {x, y} that
+rotation system down the descent: each triangulation is embedded once,
+when its class is first found, and those rotations serve both the
+vertex splitting of the order above and the deletions below it; the
+rotations of h = g - ab are those of g with b dropped at a and a
+dropped at b.  For a polyhedral h let C(h) be the pairs {x, y} that
 are non-adjacent in h and lie on a common face; h + xy is then planar
 and 3-connected, so every pair of C(h) leads back to a polyhedral
 parent.  Score a pair by f(x, y) = (d(x) + d(y), min(d(x), d(y))),
@@ -65,7 +72,7 @@ from itertools import combinations
 from typing import TypeVar
 
 from .connectivity import _three_connected_without_edge
-from .duality import dual
+from .duality import _face_graph
 from .graphs import DegreeSequence, Graph, complete
 from .isomorphism import (
     CanonicalForm,
@@ -112,23 +119,30 @@ def _split_vertex(g: Graph, v: int, rot: tuple[int, ...], i: int, j: int) -> Gra
 
 
 @cache
-def triangulations(p: int) -> tuple[Graph, ...]:
-    """All maximal planar graphs on p vertices, canonical, sorted."""
+def _embedded_triangulations(p: int) -> tuple[tuple[Graph, _Rotations], ...]:
+    """(class, its rotation system) for every maximal planar graph on p
+    vertices, canonical and sorted."""
     if not 4 <= p <= MAX_ENUM_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ENUM_ORDER}")
     if p == 4:
-        return (canonical_graph(complete(4)),)
-    found: dict[CanonicalForm, Graph] = {}
-    for t in triangulations(p - 1):
-        rs = embed(t)
-        for v in range(t.p):
-            rot = rs.rotations[v]
-            for i, j in combinations(range(len(rot)), 2):
-                s = _split_vertex(t, v, rot, i, j)
-                cf = canonical_form(s)
-                if cf not in found:
-                    found[cf] = canonical_graph(s)
-    return _sorted_classes(found)
+        classes = (canonical_graph(complete(4)),)
+    else:
+        found: dict[CanonicalForm, Graph] = {}
+        for t, rot in _embedded_triangulations(p - 1):
+            for v in range(t.p):
+                for i, j in combinations(range(len(rot[v])), 2):
+                    s = _split_vertex(t, v, rot[v], i, j)
+                    cf = canonical_form(s)
+                    if cf not in found:
+                        found[cf] = canonical_graph(s)
+        classes = _sorted_classes(found)
+    return tuple((t, embed(t).rotations) for t in classes)
+
+
+@cache
+def triangulations(p: int) -> tuple[Graph, ...]:
+    """All maximal planar graphs on p vertices, canonical, sorted."""
+    return tuple(t for t, _ in _embedded_triangulations(p))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,7 @@ def _embedded_census(p: int) -> dict[int, tuple[tuple[Graph, _Rotations], ...]]:
     """q -> (class, its rotation system), for every feasible size at order p."""
     q_top = 3 * p - 6
     q_bot = (3 * p + 1) // 2
-    out = {q_top: tuple((t, embed(t).rotations) for t in triangulations(p))}
+    out = {q_top: _embedded_triangulations(p)}
     for q in range(q_top - 1, q_bot - 1, -1):
         found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
         for g, rot in out[q + 1]:
@@ -278,9 +292,9 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
         )
     if r < p:
         found = {}
-        for h in enumerate_polyhedra(r, q):
+        for h, rot in _embedded_census(r)[q]:
+            d = _face_graph(h, _faces(rot)[0])
             # both calls share one cached canonical labelling of d
-            d = dual(h)
             found[canonical_form(d)] = canonical_graph(d)
         return _sorted_classes(found)
     return _census_by_order(p)[q]

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 import polycensus as pc
-from polycensus import NotPolyhedralError, dual, is_polyhedral, is_self_dual
+from polycensus import NotPolyhedralError, cli, dual, is_polyhedral, is_self_dual
 from polycensus import planarity
 from tests.oracles import petersen
 
@@ -22,6 +24,14 @@ def icosahedron():
         down, down_next = 6 + k, 6 + (k + 1) % 5
         edges += [(up, up_next), (down, down_next), (up, down), (up_next, down)]
     return pc.Graph.from_edges(12, edges)
+
+
+def cuboctahedron():
+    # the line graph of the cube: 12 vertices, 24 edges, 14 faces
+    es = list(cube().edges())
+    return pc.Graph.from_edges(
+        12, [(i, j) for i, j in combinations(range(12), 2) if set(es[i]) & set(es[j])]
+    )
 
 
 def test_is_polyhedral():
@@ -72,6 +82,20 @@ def test_dual_embeds_once(monkeypatch):
     g = cube()
     assert pc.are_isomorphic(dual(g), pc.complete_multipartite(2, 2, 2))
     assert calls == [list(range(8))]
+
+
+def test_dual_bytes_are_pinned(capsys):
+    # faces are numbered in the embedder's sorted order, so the labelled
+    # dual, and what `polycensus dual` prints, stay byte for byte the same
+    assert pc.encode(dual(cube())) == "E}]w"
+    assert pc.encode(dual(pc.wheel(5))) == "EpVw"
+    assert pc.encode(dual(cuboctahedron())) == "M????BSyDaHoIoDo?"
+    # the icosahedron's dual, the dodecahedron, has more vertices than a
+    # Graph may hold
+    with pytest.raises(ValueError, match="order must be 1..16"):
+        dual(icosahedron())
+    assert cli.main(["dual", pc.encode(cube())]) == 0
+    assert capsys.readouterr().out == "E}]w\n"
 
 
 def test_self_dual_examples():

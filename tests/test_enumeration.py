@@ -6,16 +6,27 @@ filters raw edge subsets.  They share no strategy, so agreement on
 every cell is the strongest evidence either is right.
 """
 
+import hashlib
 import random
 
 import pytest
 
 import polycensus as pc
-from polycensus import enumerate_polyhedra, enumeration, order_bounds
+from polycensus import (
+    connectivity,
+    duality,
+    enumerate_polyhedra,
+    enumeration,
+    order_bounds,
+    planarity,
+)
+from polycensus.duality import _face_graph
 from polycensus.enumeration import (
     _accepted_deletions,
     _census_by_order,
     _embedded_census,
+    _embedded_triangulations,
+    _faces,
 )
 from tests.oracles import exhaustive_polyhedra
 
@@ -30,6 +41,10 @@ CENSUS_ROWS = {
 }
 
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
+
+# sha256 over the certificates of every class with q <= 21 and
+# min(p, q - p + 2) <= 9, cells by q then p
+CENSUS_DIGEST = "1cc70f0192fe5678b479b091cbdef5bb733c03a913ceb1781e15e7bb9136828e"
 
 # classes per size q, OEIS A002840
 SIZE_TOTALS = dict(zip(range(6, 18), (1, 0, 1, 2, 2, 4, 12, 22, 58, 158, 448, 1342)))
@@ -150,12 +165,75 @@ def test_acceptance_skips_most_canonical_forms(monkeypatch):
 
 
 def test_dual_route_matches_direct_descent():
-    # (9,14) comes out of the dual side in production; the straight
-    # deletion descent at order 9 must land on the same classes
-    via_dual = enumerate_polyhedra(9, 14)
-    direct = _census_by_order(9)[14]
-    assert certs(via_dual) == certs(direct)
-    assert len(via_dual) == 8
+    # every cell with q - p + 2 < p <= 9 comes out of the dual side in
+    # production; the straight deletion descent must land on the same
+    # stored classes, in the same order
+    cells = 0
+    for p in range(4, 10):
+        for q, direct in _census_by_order(p).items():
+            if q - p + 2 < p:
+                assert enumerate_polyhedra(p, q) == direct, (p, q)
+                cells += 1
+    assert cells == 6
+
+
+def test_carried_faces_give_the_dual():
+    # Whitney: the carried embedding yields the same dual class as the
+    # one `dual` computes from a fresh embedding
+    for p in range(4, 9):
+        for classes in _embedded_census(p).values():
+            for h, rot in classes:
+                d = _face_graph(h, _faces(rot)[0])
+                assert pc.canonical_form(d) == pc.canonical_form(pc.dual(h))
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_dual_route_neither_embeds_nor_tests(monkeypatch):
+    # the 76 classes of (8, 16) are polyhedral by construction and carry
+    # their rotations; dualizing them needs no embedding and no test
+    _embedded_census(8)
+    embeds = _count(monkeypatch, planarity, "_embed_block")
+    tests = _count(monkeypatch, connectivity, "is_3_connected")
+    tests_in_duality = _count(monkeypatch, duality, "is_3_connected")
+    assert len(enumerate_polyhedra(10, 16)) == 76
+    assert (len(embeds), len(tests), len(tests_in_duality)) == (0, 0, 0)
+
+
+def test_each_triangulation_embedded_once(monkeypatch):
+    # with the orders below warm, splitting embeds only the new classes,
+    # and the deletion descent reuses their rotations
+    _embedded_triangulations(9)
+    embeds = _count(monkeypatch, planarity, "_embed_block")
+    for p in range(5, 10):
+        embeds.clear()
+        assert _embedded_triangulations.__wrapped__(p) == _embedded_triangulations(p)
+        assert len(embeds) == len(pc.triangulations(p)), p
+        embeds.clear()
+        census = _embedded_census.__wrapped__(p)
+        assert embeds == [], p
+        assert {q: len(v) for q, v in census.items()} == CENSUS_ROWS[p]
+
+
+def test_census_certificate_digest():
+    # certificate drift would otherwise show only in the benchmark
+    digest = hashlib.sha256()
+    for q in range(6, 22):
+        for p in range((q + 8) // 3, 2 * q // 3 + 1):
+            if min(p, q - p + 2) <= 9:
+                for g in enumerate_polyhedra(p, q):
+                    digest.update(pc.canonical_form(g).certificate)
+    assert digest.hexdigest() == CENSUS_DIGEST
 
 
 def test_enumerate_infeasible_is_empty():

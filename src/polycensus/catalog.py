@@ -10,6 +10,11 @@ Units at the same order put self-duals first, then sort by decreasing
 degree sequence, the partner's degree sequence, and finally the
 canonical certificate, which settles anything left.
 
+Duals come from the census, not from ``dual``: the census keeps the
+dual of every class of a cell, read off the rotation system it carries
+with the class, and both its dual-side cells and this module read that
+one cached pairing, so no catalog class is embedded or tested again.
+
 The three graphs whose complements are again polyhedral also carry the
 names they go by in the published census of that classification; the
 two self-dual ones are told apart by certificate order, a convention
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
-from .duality import dual, is_polyhedral
-from .enumeration import enumerate_by_size
+from .duality import _not_polyhedral, is_polyhedral
+from .enumeration import _dual_certificates, enumerate_by_size
 from .graph6 import decode, encode
 from .graphs import DegreeSequence, Graph
 from .isomorphism import (
@@ -111,7 +116,11 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
     """Order a duality-closed set of polyhedral graphs and label it.
 
     The input must contain the dual of each of its members (up to
-    isomorphism), or dual_label could not be filled in.
+    isomorphism), or dual_label could not be filled in.  Each dual is
+    read from the census, so a member that is not polyhedral raises
+    NotPolyhedralError, and one whose order p and dual order q - p + 2
+    both exceed MAX_ENUM_ORDER raises the ValueError of
+    ``enumerate_polyhedra``.
     """
     by_size: dict[int, dict[CanonicalForm, Graph]] = {}
     for g in graphs:
@@ -122,14 +131,20 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
     label_of: dict[CanonicalForm, str] = {}
     for q in sorted(by_size):
         group = by_size[q]
-        dual_of = {c: canonical_graph(dual(g)) for c, g in group.items()}
+        dual_cert: dict[Graph, CanonicalForm] = {}
+        for p in sorted({g.p for g in group.values()}):
+            dual_cert.update(_dual_certificates(p, q))
+        for g in group.values():
+            # the census holds every polyhedral class of its cells
+            if g not in dual_cert:
+                raise _not_polyhedral(g)
         units = []
         seen: set[CanonicalForm] = set()
         for cert in sorted(group, key=lambda c: c.certificate):
             if cert in seen:
                 continue
             g = group[cert]
-            cd = canonical_form(dual_of[cert])
+            cd = dual_cert[g]
             if cd == cert:
                 units.append((g.p, 0, _member_key(g, g), (g,)))
                 seen.add(cert)
@@ -161,7 +176,7 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
                         "label": label,
                         "graph": g,
                         "certificate": cert,
-                        "dual_certificate": canonical_form(dual_of[cert]),
+                        "dual_certificate": dual_cert[g],
                         "self_complementary": is_self_complementary(g),
                         "complement_polyhedral": is_polyhedral(g.complement()),
                     }

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .catalog import (
@@ -161,7 +162,9 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on first use; each parse_args call fills a fresh namespace
     parser = argparse.ArgumentParser(
         prog="polycensus",
         description="census and classification of small polyhedral graphs",

@@ -2,10 +2,11 @@
 
 ``is_3_connected`` decides 3-connectivity straight from the definition:
 delete every vertex subset of size 0, 1 and 2 and test connectivity of
-the rest, at most 137 bitmask searches at order <= 16.  It stays the
-public test because it assumes nothing about its input, and because the
-complement check, ``is_polyhedral`` and the tests rely on it as the
-plain definition.
+the rest, at most 137 bitmask searches at order <= 16.  A vertex of
+degree below 3 answers at once, since its neighbours are such a subset.
+It stays the public test because it assumes nothing about its input,
+and because the complement check, ``is_polyhedral`` and the tests rely
+on it as the plain definition.
 
 ``_three_connected_without_edge`` serves the deletion step of the
 census, where the graph is already known to be 3-connected and only one
@@ -54,7 +55,8 @@ def min_degree(g: Graph) -> int:
 def is_3_connected(g: Graph) -> bool:
     """True iff ``g`` has more than 3 vertices and no cut set of size < 3."""
     p, adj = g.p, g.adj
-    if p < 4:
+    # the neighbours of a vertex of degree below 3 form a cut of size <= 2
+    if p < 4 or any(row.bit_count() < 3 for row in adj):
         return False
     full = (1 << p) - 1
     if not _connected_within(adj, full):

@@ -2,10 +2,8 @@
 
 Production route, per order p:
 
-* maximal planar graphs (q = 3p - 6) are generated by splitting a
-  vertex of a smaller one, starting from K4; every maximal planar graph
-  on at least five vertices arises this way because it has an edge
-  whose contraction stays maximal planar,
+* maximal planar graphs (q = 3p - 6), the triangulations, are generated
+  by splitting a vertex of a smaller one, starting from K4 (below),
 * sparser sizes follow by deleting one edge at a time, keeping only
   3-connected results.  The parent is already 3-connected, so G - ab
   is 3-connected exactly when a and b are still joined by three
@@ -22,23 +20,55 @@ Production route, per order p:
   (below): one vertex per face, one edge across each edge.  A
   polyhedral graph has one embedding up to mirror image (Whitney), so
   these faces give the same dual class as any other embedding would,
-  and no class is tested or embedded again.
+  and no class is tested or embedded again.  The catalog reads its
+  duals from the same cached pairing.
 
-Most deletion children are isomorphic to a child of another parent, so
-a child is canonically labelled only when its deleted edge is a best
-way back up (canonical construction path acceptance, after McKay,
-*Isomorph-free exhaustive generation*, 1998).  Each class carries its
-rotation system down the descent: each triangulation is embedded once,
-when its class is first found, and those rotations serve both the
-vertex splitting of the order above and the deletions below it; the
-rotations of h = g - ab are those of g with b dropped at a and a
-dropped at b.  For a polyhedral h let C(h) be the pairs {x, y} that
-are non-adjacent in h and lie on a common face; h + xy is then planar
-and 3-connected, so every pair of C(h) leads back to a polyhedral
-parent.  Score a pair by f(x, y) = (d(x) + d(y), min(d(x), d(y))),
-compared lexicographically.  The child h = g - ab is accepted iff
-f(a, b) is the maximum of f over C(h); it is rejected outright when a
-or b has degree 3 in g, since h then has a vertex of degree 2.
+Each class carries a rotation system, and nothing is ever embedded:
+K4's is written down, a split builds its rotations from its parent's,
+the rotations of h = g - ab are those of g with b dropped at a and a
+dropped at b, and a new class relabels them by its canonical labelling.
+
+Most children, of a split or of a deletion, are isomorphic to a child
+of another parent, so a child is canonically labelled only when the
+step that made it is a best way back (canonical construction path
+acceptance, after McKay, *Isomorph-free exhaustive generation*, 1998;
+plantri applies it to vertex splitting, Brinkmann & McKay, *Fast
+generation of planar graphs*, 2007).  Both rules score a vertex pair by
+f(x, y) = (d(x) + d(y), min(d(x), d(y))), compared lexicographically,
+which reads degrees only and so is invariant under isomorphism.
+
+Splitting.  For the rotation r of a vertex v of a triangulation t and
+i < j, the split at (v, i, j) replaces v by an edge v-p: v keeps the
+arc r[i..j], p takes the arc r[j..i], and the arc ends r[i] and r[j]
+become the common neighbours of v and p.  An edge xy of a
+triangulation is contractible when x and y have exactly two common
+neighbours, so that xy lies on no separating triangle; contracting it
+gives a triangulation with one vertex fewer.  The new edge vp is
+contractible, and contracting it gives t back.  The split s is
+accepted iff f(v, p) is the maximum of f over the contractible edges
+of s.
+
+* Sound: every split of a triangulation is a triangulation.
+* Complete: every triangulation S on at least five vertices has a
+  contractible edge; let xy be one with the largest score.  Contracting
+  it gives a triangulation T on one vertex fewer, so by induction T is
+  isomorphic to a class t of the order below.  The isomorphism takes
+  the merged vertex to a vertex v of t, and the two common neighbours
+  of x and y to two entries r[i], r[j] of the rotation at v, which cut
+  it into the neighbours of x and those of y: t is 3-connected, so its
+  carried embedding is that of T up to mirror image (Whitney), and a
+  mirror image only reverses the rotation.  The split at (v, i, j) is
+  S up to swapping x and y, as (v, i, j) ranges over every arc pair of
+  every vertex, and vp is the image of xy.  Contractibility and f are
+  invariant under isomorphism, so vp is a best contractible edge of the
+  split and S is found.
+
+Deletion.  For a polyhedral h let C(h) be the pairs {x, y} that are
+non-adjacent in h and lie on a common face; h + xy is then planar and
+3-connected, so every pair of C(h) leads back to a polyhedral parent.
+The child h = g - ab is accepted iff f(a, b) is the maximum of f over
+C(h); it is rejected outright when a or b has degree 3 in g, since h
+then has a vertex of degree 2.
 
 * Sound: accepted children are a subset of the children that the
   Menger test would keep, so nothing that is not polyhedral gets in.
@@ -49,17 +79,18 @@ or b has degree 3 in g, since h then has a vertex of degree 2.
   H.  A 3-connected planar graph has one embedding up to mirror image
   (Whitney), so its faces, and with them C and f, are invariant under
   isomorphism: f(a, b) is the maximum over C(g - ab), and H is found.
-* Classes are still keyed by certificate and stored as their canonical
-  graphs, so the output does not depend on which child reached a class
-  first.
 
-The check is cheap because deletion only lowers degrees: the faces of g
-are walked once per parent, and its pairs C(g) are sorted by score in
-g.  Deleting ab merges the two faces on either side of ab and leaves
-every other face as it was, so C(g - ab) is C(g), the pair {a, b} and
-the pairs across the two merged faces.  Only pairs that touch a or b
-score lower in the child, so the scan of C(g) stops at the first pair
-whose score in g is no higher than f(a, b).
+For both rules, classes are keyed by certificate and stored as their
+canonical graphs, so the output does not depend on which child reached
+a class first.
+
+The deletion check is cheap because deletion only lowers degrees: the
+faces of g are walked once per parent, and its pairs C(g) are sorted by
+score in g.  Deleting ab merges the two faces on either side of ab and
+leaves every other face as it was, so C(g - ab) is C(g), the pair
+{a, b} and the pairs across the two merged faces.  Only pairs that
+touch a or b score lower in the child, so the scan of C(g) stops at the
+first pair whose score in g is no higher than f(a, b).
 
 The tests check this census against a direct filtration of all graphs
 of the right order and size, which shares no generation machinery.
@@ -73,14 +104,13 @@ from typing import TypeVar
 
 from .connectivity import _three_connected_without_edge
 from .duality import _face_graph
-from .graphs import DegreeSequence, Graph, complete
+from .graphs import DegreeSequence, Graph, bits, complete
 from .isomorphism import (
     CanonicalForm,
     canonical_form,
     canonical_graph,
     canonical_labeling,
 )
-from .planarity import embed
 
 MAX_ENUM_ORDER = 9
 
@@ -103,19 +133,75 @@ def _sorted_classes(found: dict[CanonicalForm, _T]) -> tuple[_T, ...]:
     return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
 
 
+def _score(dx: int, dy: int) -> int:
+    """(dx + dy, min(dx, dy)) packed into one int; degrees are below 16."""
+    return (dx + dy) << 4 | min(dx, dy)
+
+
 # ---------------------------------------------------------------------------
 # maximal planar graphs by vertex splitting
 
-def _split_vertex(g: Graph, v: int, rot: tuple[int, ...], i: int, j: int) -> Graph:
-    """Replace v by an edge v-p; the rotation arc rot[i..j] stays with v."""
-    p, d = g.p, len(rot)
-    arc_keep = [rot[(i + k) % d] for k in range((j - i) % d + 1)]
-    arc_move = [rot[(j + k) % d] for k in range((i - j) % d + 1)]
-    edges = [(a, b) for a, b in g.edges() if v not in (a, b)]
-    edges += [(v, u) for u in arc_keep]
-    edges += [(p, u) for u in arc_move]
-    edges.append((v, p))
-    return Graph.from_edges(p + 1, edges)
+# K4, its own canonical graph, drawn in the plane
+_K4_ROTATIONS: _Rotations = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+
+
+def _split(rot: _Rotations, v: int, i: int, j: int) -> _Rotations:
+    """Rotations after replacing v by an edge v-p, where p = len(rot).
+
+    v keeps the arc rot[v][i..j] and p takes the arc rot[v][j..i]; the
+    two arc ends, on both arcs, gain p beside v, and the vertices inside
+    p's arc see p where they saw v.
+    """
+    r = rot[v]
+    p = len(rot)
+    out = list(rot)
+    out[v] = r[i : j + 1] + (p,)
+    out.append(r[j:] + r[: i + 1] + (v,))
+    for u in r[j + 1 :] + r[:i]:
+        k = rot[u].index(v)
+        out[u] = rot[u][:k] + (p,) + rot[u][k + 1 :]
+    # p lies on the side of r[i - 1] at r[i] and of r[j + 1] at r[j]
+    a, b = r[i], r[j]
+    k = rot[a].index(v) + 1
+    out[a] = rot[a][:k] + (p,) + rot[a][k:]
+    k = rot[b].index(v)
+    out[b] = rot[b][:k] + (p,) + rot[b][k:]
+    return tuple(out)
+
+
+def _best_contractible(adj: list[int], x: int, y: int) -> bool:
+    """Whether no contractible edge of a triangulation outscores xy.
+
+    An edge is contractible when its ends have exactly two common
+    neighbours, so that it lies on no separating triangle.
+    """
+    deg = [row.bit_count() for row in adj]
+    best = _score(deg[x], deg[y])
+    for a, row in enumerate(adj):
+        for b in bits(row & ~((2 << a) - 1)):
+            if _score(deg[a], deg[b]) > best and (adj[a] & adj[b]).bit_count() == 2:
+                return False
+    return True
+
+
+def _accepted_splits(rot: _Rotations):
+    """(rotations, adjacency rows) of the splits of the triangulation
+    embedded by ``rot`` whose new edge is a best contractible edge."""
+    p = len(rot)
+    for v, r in enumerate(rot):
+        for i, j in combinations(range(len(r)), 2):
+            split = _split(rot, v, i, j)
+            rows = [sum(1 << u for u in nbrs) for nbrs in split]
+            if _best_contractible(rows, v, p):
+                yield split, rows
+
+
+def _relabelled(rot: _Rotations, perm: tuple[int, ...]) -> _Rotations:
+    """Rotations relabelled by ``perm`` (old vertex -> new)."""
+    out: list[tuple[int, ...]] = [()] * len(rot)
+    for v, r in enumerate(rot):
+        out[perm[v]] = tuple(perm[u] for u in r)
+    return tuple(out)
 
 
 @cache
@@ -125,18 +211,16 @@ def _embedded_triangulations(p: int) -> tuple[tuple[Graph, _Rotations], ...]:
     if not 4 <= p <= MAX_ENUM_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ENUM_ORDER}")
     if p == 4:
-        classes = (canonical_graph(complete(4)),)
-    else:
-        found: dict[CanonicalForm, Graph] = {}
-        for t, rot in _embedded_triangulations(p - 1):
-            for v in range(t.p):
-                for i, j in combinations(range(len(rot[v])), 2):
-                    s = _split_vertex(t, v, rot[v], i, j)
-                    cf = canonical_form(s)
-                    if cf not in found:
-                        found[cf] = canonical_graph(s)
-        classes = _sorted_classes(found)
-    return tuple((t, embed(t).rotations) for t in classes)
+        return ((canonical_graph(complete(4)), _K4_ROTATIONS),)
+    found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
+    for _, rot in _embedded_triangulations(p - 1):
+        for split, adj in _accepted_splits(rot):
+            s = Graph(p, tuple(adj))
+            cf = canonical_form(s)
+            if cf not in found:
+                perm = canonical_labeling(s)
+                found[cf] = (canonical_graph(s), _relabelled(split, perm))
+    return _sorted_classes(found)
 
 
 @cache
@@ -173,11 +257,6 @@ def _faces(rot: _Rotations) -> tuple[list[list[int]], list[int]]:
                 x, y = y, succ[y << 4 | x]
             faces.append(walk)
     return faces, face_of
-
-
-def _score(dx: int, dy: int) -> int:
-    """(dx + dy, min(dx, dy)) packed into one int; degrees are below 16."""
-    return (dx + dy) << 4 | min(dx, dy)
 
 
 def _outscored(
@@ -277,6 +356,19 @@ def _census_by_order(p: int) -> dict[int, tuple[Graph, ...]]:
     }
 
 
+@cache
+def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...]:
+    """(class, its dual's certificate, its dual's canonical graph) for
+    every class of the cell (r, q) of the direct descent, the dual read
+    off the carried rotation system."""
+    out = []
+    for h, rot in _embedded_census(r)[q]:
+        d = _face_graph(h, _faces(rot)[0])
+        # both calls share one cached canonical labelling of d
+        out.append((h, canonical_form(d), canonical_graph(d)))
+    return tuple(out)
+
+
 def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     """All polyhedral graphs with p vertices and q edges, up to isomorphism.
 
@@ -291,13 +383,20 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
             f"feasible, but p={p} and q-p+2={r} both exceed {MAX_ENUM_ORDER}"
         )
     if r < p:
-        found = {}
-        for h, rot in _embedded_census(r)[q]:
-            d = _face_graph(h, _faces(rot)[0])
-            # both calls share one cached canonical labelling of d
-            found[canonical_form(d)] = canonical_graph(d)
-        return _sorted_classes(found)
+        return _sorted_classes({c: d for _, c, d in _dual_pairs(r, q)})
     return _census_by_order(p)[q]
+
+
+def _dual_certificates(p: int, q: int) -> dict[Graph, CanonicalForm]:
+    """class -> certificate of its dual, for every class of the cell
+    (p, q); raises ValueError where ``enumerate_polyhedra`` does."""
+    if not enumerate_polyhedra(p, q):
+        return {}
+    r = q - p + 2
+    if r < p:
+        # duality is an involution: the classes here are the duals
+        return {d: canonical_form(h) for h, _, d in _dual_pairs(r, q)}
+    return {h: c for h, c, _ in _dual_pairs(p, q)}
 
 
 def enumerate_by_size(q: int) -> dict[int, tuple[Graph, ...]]:

@@ -5,6 +5,7 @@ import pytest
 
 import polycensus as pc
 from polycensus import (
+    NotPolyhedralError,
     UnknownLabelError,
     assemble,
     build_catalog,
@@ -12,9 +13,12 @@ from polycensus import (
     catalog_to_json,
     dot_document,
     export,
+    catalog as catalog_module,
+    duality,
     graph6_lines,
     import_graph6,
     order_census,
+    planarity,
 )
 
 BLOCK_COUNTS = {
@@ -126,6 +130,55 @@ def test_order_census_requires_dual_closure(catalog):
     (entry,) = order_census([pc.complete(4)])
     assert entry.label == "0604.01"
     assert entry.self_dual
+
+
+def test_order_census_rejects_what_the_census_lacks():
+    # K3,3 has the order and size of the prism, the one (6, 9) polyhedron
+    with pytest.raises(NotPolyhedralError):
+        order_census([pc.complete_bipartite(3, 3)])
+    # the pentagonal antiprism is polyhedral, but p = 10 and q - p + 2 = 12
+    # are both beyond the census, as for enumerate_polyhedra(10, 20)
+    antiprism = pc.Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)]
+        + [(i, 5 + (i + 1) % 5) for i in range(5)],
+    )
+    assert pc.is_polyhedral(antiprism)
+    with pytest.raises(ValueError, match="both exceed") as exc:
+        order_census([antiprism])
+    assert not isinstance(exc.value, NotPolyhedralError)
+
+
+def test_catalog_duals_come_from_the_census(monkeypatch):
+    # no class is dualized or embedded again; the only embeddings left are
+    # the planarity tests of complements that are 3-connected
+    duals = []
+    dual = duality.dual
+    monkeypatch.setattr(duality, "dual", lambda g: duals.append(g) or dual(g))
+    embeds = []
+    embed_block = planarity._embed_block
+    is_polyhedral = catalog_module.is_polyhedral
+    in_complement_check = []
+
+    def counting_embed(vs, adj):
+        if not in_complement_check:
+            embeds.append(vs)
+        return embed_block(vs, adj)
+
+    def complement_check(g):
+        in_complement_check.append(g)
+        try:
+            return is_polyhedral(g)
+        finally:
+            in_complement_check.pop()
+
+    monkeypatch.setattr(planarity, "_embed_block", counting_embed)
+    monkeypatch.setattr(catalog_module, "is_polyhedral", complement_check)
+    fresh = build_catalog.__wrapped__()
+    assert (len(duals), len(embeds)) == (0, 0)
+    assert [e.dual_label for e in fresh] == [e.dual_label for e in build_catalog()]
 
 
 def test_order_census_no_published_names_without_the_trio(catalog):

@@ -173,6 +173,21 @@ def test_check_tests_polyhedrality_once_when_not_self_dual(capsys, monkeypatch):
     assert sorted(calls) == ["3c", "3c", "embed", "embed"]
 
 
+def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
+    # the parser is built once; an argument list must not leak into the
+    # next call, which reads stdin
+    code, out, _ = run(capsys, "check", "C~")
+    assert code == 0 and out.startswith("planar=true 3-connected=true")
+    feed(monkeypatch, "Dhc\n")  # C5
+    code, out, _ = run(capsys, "check")
+    assert code == 0
+    assert out.splitlines() == [
+        "planar=true 3-connected=false polyhedral=false "
+        "self-dual=false self-complementary=true"
+    ]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_malformed_graph6_reports_position(capsys):
     code, _, err = run(capsys, "check", "C!")
     assert code == 2

@@ -43,6 +43,12 @@ def test_3_connected_examples():
     # two triangles glued along an edge: a 2-cut
     g = pc.Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     assert not pc.is_3_connected(g)
+    # every vertex of degree 1: a perfect matching 4K2
+    matching = pc.Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert not pc.is_3_connected(matching)
+    # K5 with a pendant vertex: the rest is 4-connected
+    pendant = pc.Graph.from_edges(6, [*pc.complete(5).edges(), (0, 5)])
+    assert not pc.is_3_connected(pendant)
 
 
 def test_3_connected_against_oracle_exhaustive(universe):

@@ -6,8 +6,11 @@ filters raw edge subsets.  They share no strategy, so agreement on
 every cell is the strongest evidence either is right.
 """
 
+import ast
 import hashlib
+import inspect
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,10 +26,12 @@ from polycensus import (
 from polycensus.duality import _face_graph
 from polycensus.enumeration import (
     _accepted_deletions,
+    _accepted_splits,
     _census_by_order,
     _embedded_census,
     _embedded_triangulations,
     _faces,
+    _split,
 )
 from tests.oracles import exhaustive_polyhedra
 
@@ -126,6 +131,89 @@ def test_carried_rotations_embed_their_classes():
                 assert len(rs.faces()) == q - p + 2, (p, q)
 
 
+def test_split_rotations_embed_their_triangulations():
+    # every split of every triangulation through order 8, accepted or
+    # not, must carry a plane triangulation: p on the wrong side of v
+    # would show only as classes missing from the census
+    splits = 0
+    for p in range(4, 9):
+        for _, rot in _embedded_triangulations(p):
+            for v, r in enumerate(rot):
+                for i, j in combinations(range(len(r)), 2):
+                    faces = pc.RotationSystem(_split(rot, v, i, j)).faces()
+                    assert faces.sizes() == (3,) * (2 * p - 2), (p, v, i, j)
+                    splits += 1
+    assert splits == 1328
+    # and the relabelled rotations the classes keep match their rows
+    for p in range(4, 10):
+        for t, rot in _embedded_triangulations(p):
+            assert pc.RotationSystem(rot).faces().sizes() == (3,) * (2 * p - 4)
+            for v in range(p):
+                assert set(rot[v]) == set(t.neighbors(v)), (p, v)
+
+
+def _moved(rot, perm, rng):
+    """``rot`` relabelled by ``perm``, each rotation started elsewhere."""
+    moved = [()] * len(rot)
+    for v, r in enumerate(rot):
+        k = rng.randrange(len(r))
+        moved[perm[v]] = tuple(perm[u] for u in r[k:] + r[:k])
+    return tuple(moved)
+
+
+def _split_key(split):
+    # the split vertex v and the two ends of its arcs, which are the two
+    # common neighbours of v and the new vertex
+    new = len(split) - 1
+    v = split[new][-1]
+    return v, frozenset(set(split[v]) & set(split[new]))
+
+
+def test_split_acceptance_ignores_labels():
+    # relabelling a parent, and starting its rotations elsewhere, must
+    # carry its accepted splits along
+    rng = random.Random(9)
+    for p in range(5, 9):
+        for t, rot in _embedded_triangulations(p):
+            perm = list(range(p))
+            rng.shuffle(perm)
+            ext = perm + [p]
+            want = set()
+            for split, _ in _accepted_splits(rot):
+                v, ends = _split_key(split)
+                want.add((ext[v], frozenset(ext[u] for u in ends)))
+            got = {_split_key(s) for s, _ in _accepted_splits(_moved(rot, perm, rng))}
+            assert got == want, pc.encode(t)
+
+
+def test_splits_skip_most_canonical_forms(monkeypatch):
+    # the 14 order-8 triangulations have 956 splits; only the 140 whose
+    # new edge is a best contractible edge are canonically labelled
+    _embedded_triangulations(8)
+    forms = _count(monkeypatch, enumeration, "canonical_form")
+    embeds = _count(monkeypatch, planarity, "_embed_block")
+    assert _embedded_triangulations.__wrapped__(9) == _embedded_triangulations(9)
+    assert (len(forms), len(embeds)) == (140, 0)
+
+
+def test_census_never_embeds():
+    # the census carries every rotation system it uses from K4's
+    tree = ast.parse(inspect.getsource(enumeration))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not any("planarity" in n for n in names)
+    assert "embed" not in names
+
+
 def test_acceptance_rule_ignores_labels():
     # relabelling a parent and its rotations must carry its accepted
     # deletions along; a score that read labels would move them
@@ -211,14 +299,14 @@ def test_dual_route_neither_embeds_nor_tests(monkeypatch):
 
 
 def test_each_triangulation_embedded_once(monkeypatch):
-    # with the orders below warm, splitting embeds only the new classes,
-    # and the deletion descent reuses their rotations
+    # with the orders below warm, splitting carries the rotations of its
+    # parent, and the deletion descent reuses them: nothing is embedded
     _embedded_triangulations(9)
     embeds = _count(monkeypatch, planarity, "_embed_block")
     for p in range(5, 10):
         embeds.clear()
         assert _embedded_triangulations.__wrapped__(p) == _embedded_triangulations(p)
-        assert len(embeds) == len(pc.triangulations(p)), p
+        assert embeds == [], p
         embeds.clear()
         census = _embedded_census.__wrapped__(p)
         assert embeds == [], p

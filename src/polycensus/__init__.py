@@ -13,12 +13,9 @@ from .catalog import (
     UnknownLabelError,
     assemble,
     build_catalog,
-    catalog_from_json,
     catalog_to_json,
     dot_document,
-    export,
     graph6_lines,
-    import_graph6,
     order_census,
 )
 from .classify import (
@@ -26,7 +23,6 @@ from .classify import (
     CaseResult,
     ClassificationError,
     ClassificationReport,
-    PruneStep,
     PruneTrace,
     candidate_degree_rows,
     equal_order_size_system,
@@ -67,14 +63,7 @@ from .isomorphism import (
     canonical_labeling,
     is_self_complementary,
 )
-from .planarity import (
-    FaceSet,
-    NonPlanarGraphError,
-    RotationSystem,
-    embed,
-    is_planar,
-    trace_faces,
-)
+from .planarity import NonPlanarGraphError, RotationSystem, embed, is_planar
 
 __version__ = "0.1.0"
 
@@ -84,18 +73,14 @@ __all__ = [
     "UnknownLabelError",
     "assemble",
     "build_catalog",
-    "catalog_from_json",
     "catalog_to_json",
     "dot_document",
-    "export",
     "graph6_lines",
-    "import_graph6",
     "order_census",
     "CandidateRow",
     "CaseResult",
     "ClassificationError",
     "ClassificationReport",
-    "PruneStep",
     "PruneTrace",
     "candidate_degree_rows",
     "equal_order_size_system",
@@ -136,10 +121,8 @@ __all__ = [
     "canonical_graph",
     "canonical_labeling",
     "is_self_complementary",
-    "FaceSet",
     "NonPlanarGraphError",
     "RotationSystem",
     "embed",
     "is_planar",
-    "trace_faces",
 ]

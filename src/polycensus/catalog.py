@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .duality import _not_polyhedral, is_polyhedral
 from .enumeration import _dual_certificates, enumerate_by_size
-from .graph6 import decode, encode
+from .graph6 import encode
 from .graphs import DegreeSequence, Graph
 from .isomorphism import (
     CanonicalForm,
@@ -40,8 +40,6 @@ from .isomorphism import (
 )
 
 PUBLISHED_NAMES = ("g_1408.12", "g_1408.13", "g_1408.39")
-
-EXPORT_FORMATS = ("graph6", "json", "dot")
 
 
 class UnknownLabelError(KeyError):
@@ -233,10 +231,6 @@ def graph6_lines(graphs: Iterable[Graph]) -> str:
     return "".join(encode(g) + "\n" for g in graphs)
 
 
-def import_graph6(text: str) -> tuple[Graph, ...]:
-    return tuple(decode(line) for line in text.splitlines() if line.strip())
-
-
 def dot_document(named: Iterable[tuple[str, Graph]]) -> str:
     """One DOT graph per input, vertices 0..p-1, stable byte for byte."""
     chunks = []
@@ -271,45 +265,3 @@ def catalog_to_json(cat: Catalog) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def catalog_from_json(text: str) -> Catalog:
-    """Rebuild a catalog, refusing entries whose certificate does not
-    match the stored graph."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != 1:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    entries = []
-    for item in doc["entries"]:
-        g = decode(item["graph6"])
-        cert = canonical_form(g)
-        if cert.hex != item["certificate"]:
-            raise ValueError(f"certificate mismatch for {item['label']}")
-        if g.p != item["p"] or g.q != item["q"]:
-            raise ValueError(f"order/size mismatch for {item['label']}")
-        entries.append(
-            CatalogEntry(
-                label=item["label"],
-                graph=canonical_graph(g),
-                certificate=cert,
-                self_dual=item["self_dual"],
-                self_complementary=item["self_complementary"],
-                complement_polyhedral=item["complement_polyhedral"],
-                dual_label=item["dual_label"],
-                published_name=item["published_name"],
-            )
-        )
-    return assemble(tuple(entries))
-
-
-def export(catalog: Catalog, format: str) -> bytes:
-    """Serialize a catalog; deterministic byte for byte."""
-    if format == "graph6":
-        text = graph6_lines(e.graph for e in catalog.entries)
-    elif format == "json":
-        text = catalog_to_json(catalog)
-    elif format == "dot":
-        text = dot_document((e.label, e.graph) for e in catalog.entries)
-    else:
-        raise ValueError(f"unsupported format {format!r}; pick from {EXPORT_FORMATS}")
-    return text.encode("utf-8")

@@ -6,8 +6,10 @@ well-defined isomorphism class, again polyhedral, with
 p* = q - p + 2 vertices and q* = q edges.
 
 ``_face_graph`` builds a dual from the face walks of a given embedding.
-``dual`` embeds its input and passes the sorted faces; the census passes
-the faces of the rotation system it already carries for each class.
+Both callers take the walks from ``graphs.face_walks``: ``dual`` embeds
+its input and passes ``RotationSystem.faces()``, the walks in normal
+form, and the census passes the raw walks of the rotation system it
+already carries for each class.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ def dual(g: Graph) -> Graph:
     """Planar dual: one vertex per face, edges between facing faces.
 
     Deterministic for a given labelled input (faces are numbered in the
-    sorted order produced by the embedder), but only the isomorphism
+    sorted order of ``RotationSystem.faces``), but only the isomorphism
     class is meaningful.  Checks 3-connectivity, then embeds once: the
     embedding is the planarity test.
     """
     if not (g.p >= 4 and is_3_connected(g)):
         raise _not_polyhedral(g)
     try:
-        faces = embed(g).faces().faces
+        faces = embed(g).faces()
     except NonPlanarGraphError:
         raise _not_polyhedral(g) from None
     return _face_graph(g, faces)

@@ -104,7 +104,7 @@ from typing import TypeVar
 
 from .connectivity import _three_connected_without_edge
 from .duality import _face_graph
-from .graphs import DegreeSequence, Graph, bits, complete
+from .graphs import DegreeSequence, Graph, bits, complete, face_walks
 from .isomorphism import (
     CanonicalForm,
     canonical_form,
@@ -196,11 +196,15 @@ def _accepted_splits(rot: _Rotations):
                 yield split, rows
 
 
-def _relabelled(rot: _Rotations, perm: tuple[int, ...]) -> _Rotations:
-    """Rotations relabelled by ``perm`` (old vertex -> new)."""
+def _relabelled(
+    rot: _Rotations, perm: tuple[int, ...], a: int = -1, b: int = -1
+) -> _Rotations:
+    """Rotations relabelled by ``perm`` (old vertex -> new), without the
+    edge ab when one is given."""
     out: list[tuple[int, ...]] = [()] * len(rot)
     for v, r in enumerate(rot):
-        out[perm[v]] = tuple(perm[u] for u in r)
+        gone = b if v == a else a if v == b else -1
+        out[perm[v]] = tuple(perm[u] for u in r if u != gone)
     return tuple(out)
 
 
@@ -232,33 +236,6 @@ def triangulations(p: int) -> tuple[Graph, ...]:
 # ---------------------------------------------------------------------------
 # full census per order, by edge deletion
 
-def _faces(rot: _Rotations) -> tuple[list[list[int]], list[int]]:
-    """Face boundaries of an embedding, and the face left of each dart.
-
-    The dart x -> y has index x << 4 | y, as a graph has at most 16
-    vertices; it is followed by y -> (successor of x in the rotation at y).
-    """
-    size = len(rot) << 4
-    succ = [0] * size
-    for v, r in enumerate(rot):
-        for u, w in zip(r, r[1:] + r[:1]):
-            succ[v << 4 | u] = w
-    faces: list[list[int]] = []
-    face_of = [-1] * size
-    for v, r in enumerate(rot):
-        for u in r:
-            if face_of[v << 4 | u] >= 0:
-                continue
-            walk = []
-            x, y = v, u
-            while face_of[x << 4 | y] < 0:
-                face_of[x << 4 | y] = len(faces)
-                walk.append(x)
-                x, y = y, succ[y << 4 | x]
-            faces.append(walk)
-    return faces, face_of
-
-
 def _outscored(
     pairs: list[tuple[int, int, int]], deg: list[int], a: int, b: int, best: int
 ) -> bool:
@@ -284,7 +261,7 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
     best among the pairs C(g - ab); ``rot`` embeds the 3-connected g."""
     adj = g.adj
     deg = [len(r) for r in rot]
-    faces, face_of = _faces(rot)
+    faces, face_of = face_walks(rot)
     # in a 3-connected plane graph two faces meet in at most an edge, so
     # a non-adjacent pair lies on one face at most
     pairs = sorted(
@@ -303,25 +280,14 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
         if _outscored(pairs, deg, a, b, best):
             continue
         # the faces either side of ab merge; they share only a and b
-        left = [x for x in faces[face_of[a << 4 | b]] if x != a and x != b]
-        right = [y for y in faces[face_of[b << 4 | a]] if y != a and y != b]
+        left = [x for x in faces[face_of[a * g.p + b]] if x != a and x != b]
+        right = [y for y in faces[face_of[b * g.p + a]] if y != a and y != b]
         if not any(
             not adj[x] >> y & 1 and _score(deg[x], deg[y]) > best
             for x in left
             for y in right
         ):
             yield a, b
-
-
-def _child_rotations(
-    rot: _Rotations, a: int, b: int, perm: tuple[int, ...]
-) -> _Rotations:
-    """Rotations of g - ab, relabelled by ``perm`` (old vertex -> new)."""
-    out: list[tuple[int, ...]] = [()] * len(rot)
-    for v, r in enumerate(rot):
-        gone = b if v == a else a if v == b else -1
-        out[perm[v]] = tuple(perm[u] for u in r if u != gone)
-    return tuple(out)
 
 
 @cache
@@ -339,10 +305,7 @@ def _embedded_census(p: int) -> dict[int, tuple[tuple[Graph, _Rotations], ...]]:
                     cf = canonical_form(h)
                     if cf not in found:
                         perm = canonical_labeling(h)
-                        found[cf] = (
-                            canonical_graph(h),
-                            _child_rotations(rot, a, b, perm),
-                        )
+                        found[cf] = (canonical_graph(h), _relabelled(rot, perm, a, b))
         out[q] = _sorted_classes(found)
     return out
 
@@ -363,7 +326,7 @@ def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...
     off the carried rotation system."""
     out = []
     for h, rot in _embedded_census(r)[q]:
-        d = _face_graph(h, _faces(rot)[0])
+        d = _face_graph(h, face_walks(rot)[0])
         # both calls share one cached canonical labelling of d
         out.append((h, canonical_form(d), canonical_graph(d)))
     return tuple(out)

@@ -9,8 +9,9 @@ tests check planarity against a direct search for a K5 or K3,3
 subdivision that knows nothing about embeddings.
 
 An embedding is a rotation system: the cyclic order of neighbours
-around each vertex.  Faces are recovered by walking directed edges with
-the rule next(u -> v) = (v, successor of u in the rotation at v).
+around each vertex.  ``RotationSystem.faces`` takes its walks from
+``graphs.face_walks``, the dart walker the census also uses, and puts
+them in a normal form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import is_connected
-from .graphs import Graph, bits
+from .graphs import Graph, bits, face_walks
 
 
 class NonPlanarGraphError(ValueError):
@@ -26,28 +27,7 @@ class NonPlanarGraphError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# rotation systems and face tracing
-
-
-@dataclass(frozen=True, slots=True)
-class FaceSet:
-    """Faces of an embedding, each a directed boundary walk.
-
-    Walks are normalized to their lexicographically least cyclic shift
-    and sorted, so equal embeddings yield identical FaceSets.  Vertices
-    may repeat inside a walk when the graph has cut vertices.
-    """
-
-    faces: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(f) for f in self.faces))
+# rotation systems
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,46 +54,17 @@ class RotationSystem:
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 
-    def faces(self) -> FaceSet:
-        return trace_faces(self)
-
-
-def _least_shift(seq: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(seq)
-    return min(seq[i:] + seq[:i] for i in range(n))
-
-
-def trace_faces(rs: RotationSystem) -> FaceSet:
-    """Faces of an embedding; each directed edge lands in exactly one walk.
-
-    Malformed rotations are rejected when the RotationSystem is built.
-    """
-    return FaceSet(_walk_faces(rs.rotations))
-
-
-def _walk_faces(rotations: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    p = len(rotations)
-    if p == 1:
-        return ((0,),)
-    succ = [dict() for _ in range(p)]
-    for v, rot in enumerate(rotations):
-        d = len(rot)
-        for k in range(d):
-            succ[v][rot[k]] = rot[(k + 1) % d]
-    pending = {(v, u) for v in range(p) for u in rotations[v]}
-    faces = []
-    while pending:
-        start = min(pending)
-        walk = []
-        u, v = start
-        while True:
-            pending.remove((u, v))
-            walk.append(u)
-            u, v = v, succ[v][u]
-            if (u, v) == start:
-                break
-        faces.append(_least_shift(tuple(walk)))
-    return tuple(sorted(faces, key=lambda f: (len(f), f)))
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Face boundary walks, each from its least cyclic shift, sorted
+        by length, then content: equal embeddings give equal faces, and
+        ``dual`` numbers its vertices in this order.  Vertices repeat in
+        a walk through a cut vertex; the one-vertex graph has one face.
+        """
+        if self.p == 1:
+            return ((0,),)
+        walks = face_walks(self.rotations)[0]
+        least = (tuple(min(w[i:] + w[:i] for i in range(len(w)))) for w in walks)
+        return tuple(sorted(least, key=lambda f: (len(f), f)))
 
 
 # ---------------------------------------------------------------------------

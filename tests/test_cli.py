@@ -1,6 +1,10 @@
-"""CLI surface: exit codes, pipelines, formats, output files."""
+"""Public surface: CLI exit codes, pipelines, formats and output files,
+the README's library example, and the names the package exports."""
 
+import doctest
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,23 @@ def test_pipeline_chain(capsys, monkeypatch):
     duals = [pc.decode(line) for line in out2.splitlines()]
     assert len(duals) == 4
     assert all(pc.is_polyhedral(d) for d in duals)
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    failures = []
+    result = doctest.DocTestRunner().run(test, out=failures.append)
+    assert (result.attempted, result.failed) == (7, 0), "".join(failures)
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(pc).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(pc.__all__) == len(set(pc.__all__))
+    assert set(pc.__all__) == public

@@ -219,7 +219,7 @@ def _embedded_triangulations(p: int) -> tuple[tuple[Graph, _Rotations], ...]:
     found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
     for _, rot in _embedded_triangulations(p - 1):
         for split, adj in _accepted_splits(rot):
-            s = Graph(p, tuple(adj))
+            s = Graph._derived(p, tuple(adj))
             cf = canonical_form(s)
             if cf not in found:
                 perm = canonical_labeling(s)

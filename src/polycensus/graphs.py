@@ -136,6 +136,18 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
     @classmethod
+    def _derived(cls, p: int, adj: tuple[int, ...]) -> Graph:
+        """A graph on rows the package built from a valid graph, unchecked.
+
+        Only for rows that cannot break the invariants ``__post_init__``
+        checks: an edge removed, a permutation applied, a vertex split.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "p", p)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, p: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows = [0] * p
         for u, v in edges:
@@ -184,7 +196,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.p, tuple(rows))
+        return Graph._derived(self.p, tuple(rows))
 
     def complement(self) -> Graph:
         full = (1 << self.p) - 1
@@ -224,7 +236,7 @@ class Graph:
             for u in bits(self.adj[v]):
                 new_row |= 1 << perm[u]
             rows[perm[v]] = new_row
-        return Graph(self.p, tuple(rows))
+        return Graph._derived(self.p, tuple(rows))
 
 
 # ====== Named constructions ======

@@ -1,9 +1,46 @@
 """Canonical forms and isomorphism tests via individualization-refinement.
 
-The certificate is the minimum adjacency-matrix bit string over all
-labelings compatible with iterated degree refinement, prefixed with the
-order and size so certificates of different-sized graphs never collide.
-Equality of certificates is equality of isomorphism classes.
+The certificate is the minimum adjacency-matrix bit string over the
+leaves of a search tree, prefixed with the order and size so
+certificates of different-sized graphs never collide.  Equality of
+certificates is equality of isomorphism classes.
+
+The tree.  A node colours the vertices 0..k-1, an ordered partition.
+Refinement recolours every vertex at once by the rank of its key (own
+colour, sorted neighbour colours), round after round, until a round
+splits no colour class.  The children of a node individualise each
+member w of its first class of two or more vertices, in vertex order:
+w keeps the class's colour, the other members take the next one, and
+the result is refined.  A leaf has p colours and reads as a labelling
+(vertex -> position).  The labelling returned is the first leaf, in
+this depth-first order, whose packed adjacency bits are least; the
+certificate, ``canonical_graph`` and every catalog label read that
+exact leaf.  Four rules cut the work and keep that leaf:
+
+* Refinement stops at a round that yields p classes: one more round
+  would rank the same keys in the same order.
+* A vertex alone in its class gets the key (colour,): keys compare by
+  colour first, so its rank is what the full key would give.
+* The root starts from degree ranks, which is exactly what the first
+  round gives from a single class.
+* Automorphism pruning at every depth.  Two leaves with equal bits
+  differ by an automorphism of the graph, and the search keeps each
+  one it finds against the best leaf.  At a node whose path
+  individualised v1..vk, a member w is skipped when the kept
+  automorphisms that fix v1..vk pointwise join w to an earlier member
+  (a union-find over them gives the orbits).  Such an automorphism
+  maps the node to itself and an earlier sibling's subtree onto w's,
+  leaf for leaf with equal bits, so the first least leaf is never in
+  w's subtree.  Only path-fixing automorphisms qualify: one that moved
+  v1..vk could map w's subtree onto a later one.  A leaf determines
+  its path (each individualised vertex takes the first position of its
+  class), so the automorphism found at a tie maps the best leaf's path
+  onto the new one's and fixes their common prefix; the rest of the new
+  leaf's branch below that prefix is then skipped at once.  The root
+  is the k = 0 case.
+
+The first leaf is packed only when a second leaf needs comparing with
+it; most planar inputs refine to a single leaf.
 """
 
 from __future__ import annotations
@@ -37,23 +74,40 @@ class CanonicalForm:
         return int.from_bytes(self.certificate[1:3], "big")
 
 
-def _refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
-    """Split color classes by neighbour-color multisets until stable.
+def _refine(
+    nbrs: list[tuple[int, ...]], colors: list[int], cells: int
+) -> tuple[list[int], int]:
+    """Split colour classes by neighbour-colour multisets until stable.
 
-    ``nbrs[v]`` lists the neighbours of v.  Output colors are ranks of
-    invariant keys, so they do not depend on the labelling of the input
-    graph beyond genuine structure.
+    ``nbrs[v]`` lists the neighbours of v, ``colors`` are ranks
+    0..cells-1.  Output colors are ranks of invariant keys, so they do
+    not depend on the labelling of the input graph beyond genuine
+    structure; the class count is returned with them.
     """
+    p = len(colors)
     while True:
+        size = [0] * p
+        for c in colors:
+            size[c] += 1
         keys = [
-            (colors[v], tuple(sorted([colors[u] for u in nb])))
-            for v, nb in enumerate(nbrs)
+            (c, sorted([colors[u] for u in nbrs[v]])) if size[c] > 1 else (c,)
+            for v, c in enumerate(colors)
         ]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
+        order = sorted(range(p), key=keys.__getitem__)
+        new = [0] * p
+        rank = 0
+        prev = keys[order[0]]
+        for v in order:
+            key = keys[v]
+            if key != prev:
+                rank += 1
+                prev = key
+            new[v] = rank
+        if rank + 1 == cells:
+            return colors, cells
+        colors, cells = new, rank + 1
+        if cells == p:
+            return colors, cells
 
 
 def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
@@ -78,63 +132,82 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     # built per search, not cached: a cache would keep one list per graph
     nbrs = [bits(row) for row in adj]
     best_bits: int | None = None
-    best_label: tuple[int, ...] | None = None
+    best_label: tuple[int, ...] = ()
+    best_path: list[int] = []
+    path: list[int] = []  # vertices individualised on the way to this node
+    autos: list[list[int]] = []  # automorphisms (v -> image) found at ties
+    onward = p  # returned when the search goes on from the caller
 
-    # orbit union-find fed by automorphisms discovered at certificate ties;
-    # used to skip symmetric branches at the root of the search tree
-    orbit = list(range(p))
-
-    def find(v: int) -> int:
-        while orbit[v] != v:
-            orbit[v] = orbit[orbit[v]]
-            v = orbit[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            orbit[ra] = rb
-
-    def leaf(colors: list[int]) -> None:
-        nonlocal best_bits, best_label
+    def leaf(colors: list[int]) -> int:
+        """Take a leaf; return the depth whose node the search resumes at."""
+        nonlocal best_bits, best_label, best_path
+        if not best_label:
+            best_label, best_path = tuple(colors), path[:]
+            return onward
+        if best_bits is None:
+            best_bits = _pack_bits(p, adj, list(best_label))
         packed = _pack_bits(p, adj, colors)
-        if best_bits is None or packed < best_bits:
-            best_bits = packed
-            best_label = tuple(colors)
-        elif packed == best_bits and best_label is not None:
-            inv2 = [0] * p
-            for v, c in enumerate(colors):
-                inv2[c] = v
-            for v in range(p):
-                union(v, inv2[best_label[v]])
+        if packed < best_bits:
+            best_bits, best_label, best_path = packed, tuple(colors), path[:]
+            return onward
+        if packed > best_bits:
+            return onward
+        at = [0] * p
+        for v, c in enumerate(colors):
+            at[c] = v
+        autos.append([at[c] for c in best_label])
+        # the tie maps the best leaf's path onto this one: it fixes their
+        # common prefix and joins the two branches where they part
+        k = 0
+        while path[k] == best_path[k]:
+            k += 1
+        return k
 
-    def rec(colors: list[int], depth: int) -> None:
-        counts = [0] * p
+    def node(colors: list[int], cells: int) -> int:
+        if cells == p:
+            return leaf(colors)
+        depth = len(path)
+        size = [0] * p
         for c in colors:
-            counts[c] += 1
-        target = -1
-        for c in range(p):
-            if counts[c] > 1:
-                target = c
-                break
-        if target < 0:
-            leaf(colors)
-            return
-        members = [v for v in range(p) if colors[v] == target]
-        explored: list[int] = []
-        for v in members:
-            if depth == 0:
-                rv = find(v)
-                if any(find(u) == rv for u in explored):
-                    continue
-                explored.append(v)
-            child = _refine(
-                nbrs, [colors[u] * 2 + (0 if u == v else 1) for u in range(p)]
-            )
-            rec(child, depth + 1)
+            size[c] += 1
+        target = 0
+        while size[target] == 1:
+            target += 1
+        # orbits of the kept automorphisms that fix the path, each
+        # rooted at its least vertex; built once the first one is kept
+        orbit: list[int] = []
+        merged = 0
+        for w in range(p):
+            if colors[w] != target:
+                continue
+            if merged < len(autos):
+                for g in autos[merged:]:
+                    if any(g[v] != v for v in path):
+                        continue
+                    orbit = orbit or list(range(p))
+                    for v, u in enumerate(g):
+                        while orbit[v] != v:
+                            v = orbit[v]
+                        while orbit[u] != u:
+                            u = orbit[u]
+                        orbit[max(u, v)] = min(u, v)
+                merged = len(autos)
+            if orbit and orbit[w] != w:
+                continue  # an earlier member's subtree maps onto w's
+            path.append(w)
+            # w keeps the class's colour, its other members take the next
+            child = [
+                c if c < target or u == w else c + 1 for u, c in enumerate(colors)
+            ]
+            resume = node(*_refine(nbrs, child, cells + 1))
+            path.pop()
+            if resume < depth:
+                return resume
+        return onward
 
-    rec(_refine(nbrs, [0] * p), 0)
-    assert best_label is not None
+    deg = [row.bit_count() for row in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(deg)))}
+    node(*_refine(nbrs, [rank[d] for d in deg], len(rank)))
     return best_label
 
 

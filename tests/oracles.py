@@ -125,6 +125,16 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
+def icosahedron():
+    # apex 0, upper ring 1..5, lower ring 6..10, apex 11
+    edges = [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
+    for k in range(5):
+        up, up_next = 1 + k, 1 + (k + 1) % 5
+        down, down_next = 6 + k, 6 + (k + 1) % 5
+        edges += [(up, up_next), (down, down_next), (up, down), (up_next, down)]
+    return Graph.from_edges(12, edges)
+
+
 def shuffled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.p))
     rng.shuffle(perm)
@@ -287,3 +297,120 @@ def kuratowski_oracle(g: Graph) -> bool:
                 return False
 
     return True
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling by the plain search
+
+def plain_canonical_labeling(g: Graph) -> tuple[int, ...]:
+    """The labelling ``canonical_labeling`` must return, by a search that
+    prunes by automorphisms at the root only and refines every partition
+    until a round changes no colour.
+
+    The package's search once was this code; it is kept here unchanged,
+    but for the neighbour lists, so every shortcut the package takes is
+    checked against the tree it cuts.  Its time grows fast with symmetry
+    and with isolated vertices: keep it to small or dense-enough inputs.
+    """
+    return _plain_search(g.p, g.adj)
+
+
+def _plain_refine(nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Split color classes by neighbour-color multisets until stable.
+
+    ``nbrs[v]`` lists the neighbours of v.  Output colors are ranks of
+    invariant keys, so they do not depend on the labelling of the input
+    graph beyond genuine structure.
+    """
+    while True:
+        keys = [
+            (colors[v], tuple(sorted([colors[u] for u in nb])))
+            for v, nb in enumerate(nbrs)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _plain_pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
+    """Upper-triangle adjacency bits (row-major) under the given labelling."""
+    inv = [0] * p
+    for v, c in enumerate(position):
+        inv[c] = v
+    out = 0
+    for i in range(p):
+        row = adj[inv[i]]
+        for j in range(i + 1, p):
+            out = (out << 1) | ((row >> inv[j]) & 1)
+    return out
+
+
+def _plain_search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Labelling (vertex -> position) minimizing the packed adjacency bits."""
+    q2 = sum(row.bit_count() for row in adj)
+    if q2 == 0 or q2 == p * (p - 1):
+        return tuple(range(p))  # empty or complete: every labelling ties
+
+    # built per search, not cached: a cache would keep one list per graph
+    nbrs = [tuple(u for u in range(p) if row >> u & 1) for row in adj]
+    best_bits: int | None = None
+    best_label: tuple[int, ...] | None = None
+
+    # orbit union-find fed by automorphisms discovered at certificate ties;
+    # used to skip symmetric branches at the root of the search tree
+    orbit = list(range(p))
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            orbit[ra] = rb
+
+    def leaf(colors: list[int]) -> None:
+        nonlocal best_bits, best_label
+        packed = _plain_pack_bits(p, adj, colors)
+        if best_bits is None or packed < best_bits:
+            best_bits = packed
+            best_label = tuple(colors)
+        elif packed == best_bits and best_label is not None:
+            inv2 = [0] * p
+            for v, c in enumerate(colors):
+                inv2[c] = v
+            for v in range(p):
+                union(v, inv2[best_label[v]])
+
+    def rec(colors: list[int], depth: int) -> None:
+        counts = [0] * p
+        for c in colors:
+            counts[c] += 1
+        target = -1
+        for c in range(p):
+            if counts[c] > 1:
+                target = c
+                break
+        if target < 0:
+            leaf(colors)
+            return
+        members = [v for v in range(p) if colors[v] == target]
+        explored: list[int] = []
+        for v in members:
+            if depth == 0:
+                rv = find(v)
+                if any(find(u) == rv for u in explored):
+                    continue
+                explored.append(v)
+            child = _plain_refine(
+                nbrs, [colors[u] * 2 + (0 if u == v else 1) for u in range(p)]
+            )
+            rec(child, depth + 1)
+
+    rec(_plain_refine(nbrs, [0] * p), 0)
+    assert best_label is not None
+    return best_label

@@ -5,7 +5,7 @@ import pytest
 import polycensus as pc
 from polycensus import NotPolyhedralError, cli, dual, is_polyhedral, is_self_dual
 from polycensus import planarity
-from tests.oracles import petersen
+from tests.oracles import icosahedron, petersen
 
 
 def cube():
@@ -14,16 +14,6 @@ def cube():
         [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
          (0, 4), (1, 5), (2, 6), (3, 7)],
     )
-
-
-def icosahedron():
-    # apex 0, upper ring 1..5, lower ring 6..10, apex 11
-    edges = [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
-    for k in range(5):
-        up, up_next = 1 + k, 1 + (k + 1) % 5
-        down, down_next = 6 + k, 6 + (k + 1) % 5
-        edges += [(up, up_next), (down, down_next), (up, down), (up_next, down)]
-    return pc.Graph.from_edges(12, edges)
 
 
 def cuboctahedron():

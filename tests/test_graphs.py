@@ -5,6 +5,7 @@ import polycensus as pc
 from polycensus import DegreeSequence, Graph
 from polycensus.graphs import bits
 from tests import strategies
+from tests.oracles import icosahedron
 
 
 def test_from_edges_roundtrip():
@@ -51,6 +52,32 @@ def test_graph_validation():
         Graph(2, (2,))  # wrong row count
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric
+
+
+def test_public_construction_checks_what_derived_graphs_skip():
+    """Edge removal, relabelling and vertex splits build their rows
+    unchecked; every public way to make a graph still checks."""
+    bad_rows = [
+        (3, (0b001, 0, 0)),  # self-loop
+        (3, (0b010, 0, 0)),  # asymmetric row
+        (3, (0b1000, 0, 0)),  # bit outside 0..p-1
+        (0, ()),
+        (17, (0,) * 17),
+    ]
+    for p, rows in bad_rows:
+        with pytest.raises(ValueError):
+            Graph(p, rows)
+    for p, edges in [(3, [(1, 1)]), (3, [(0, 3)]), (0, []), (17, [])]:
+        with pytest.raises(ValueError):
+            Graph.from_edges(p, edges)
+    for u, v in [(1, 1), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError):
+            pc.path(3).add_edge(u, v)
+    with pytest.raises(ValueError, match="order must be 1..16"):
+        pc.dual(icosahedron())  # the dodecahedron: 20 vertices
+    g = pc.wheel(5)
+    for h in (g.remove_edge(0, 5), g.relabel((5, 4, 3, 2, 1, 0))):
+        assert h == Graph(h.p, h.adj)
 
 
 def test_add_remove_edge():

@@ -8,6 +8,7 @@ permutation oracle then confirms individual verdicts.
 
 import itertools
 import random
+import time
 from collections import defaultdict
 
 import polycensus as pc
@@ -17,8 +18,58 @@ from tests.oracles import (
     all_graphs_up_to_iso,
     brute_certificate,
     brute_isomorphic,
+    plain_canonical_labeling,
+    random_graph,
     shuffled,
 )
+
+
+def disjoint_cliques(k, m):
+    """k disjoint copies of K_m."""
+    return pc.Graph.from_edges(
+        k * m,
+        [(i * m + a, i * m + b) for i in range(k)
+         for a, b in itertools.combinations(range(m), 2)],
+    )
+
+
+def joined_when(n, rule):
+    return pc.Graph.from_edges(
+        n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rule(u, v)]
+    )
+
+
+def shrikhande_step(u, v):
+    # Cayley graph of Z4 x Z4 on +-(1, 0), +-(0, 1), +-(1, 1)
+    step = ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4)
+    return step in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+
+# large automorphism groups, and refinement that stops early on them:
+# the search must prune below the root to label these quickly
+SYMMETRIC = {
+    "6K2": disjoint_cliques(6, 2),
+    "7K2": disjoint_cliques(7, 2),
+    "8K2": disjoint_cliques(8, 2),
+    "3K4": disjoint_cliques(3, 4),
+    "4K4": disjoint_cliques(4, 4),
+    "cocktail party K2,...,2": pc.complete_multipartite(*[2] * 8),
+    "Q4": joined_when(16, lambda u, v: (u ^ v).bit_count() == 1),
+    "4x4 rook": joined_when(16, lambda u, v: (u // 4 == v // 4) != (u % 4 == v % 4)),
+    "Shrikhande": joined_when(16, shrikhande_step),
+    "Clebsch": joined_when(16, lambda u, v: (u ^ v).bit_count() in (1, 4)),
+    "C16": pc.cycle(16),
+    "Paley(13)": joined_when(13, lambda u, v: (u - v) % 13 in {1, 3, 4, 9, 10, 12}),
+    "complement of 6K2": disjoint_cliques(6, 2).complement(),
+}
+
+# computed by the plain search, which takes seconds on each
+PINNED_CERTIFICATES = {
+    "6K2": "0c0006020000100008004021",
+    "complement of 6K2": "0c003c03ff7fbfbf7defffff",
+    "3K4": "0c001203806010000e18403f",
+    "7K2": "0e0007040000020000100008004021",
+}
 
 
 def test_class_counts_match_published_sequence():
@@ -137,3 +188,35 @@ def test_self_complementary_needs_quarter_of_pairs(universe):
         if pc.is_self_complementary(g):
             assert 4 * g.q == g.p * (g.p - 1)
             assert g.p % 4 in (0, 1)
+
+
+def test_labelling_matches_plain_search(universe):
+    """The pruned search returns the plain search's labelling, not just
+    an equivalent one: canonical graphs and catalog labels read it."""
+    rng = random.Random(2014)
+    graphs = list(universe) + [shuffled(g, rng) for g in universe]
+    for p in range(4, 9):
+        for q in range(6, 3 * p - 5):
+            for g in pc.enumerate_polyhedra(p, q):
+                graphs += [g, pc.dual(g)]
+    for _ in range(300):
+        p = rng.randint(8, 11)
+        # at least p edges and p non-edges: with many isolated vertices,
+        # or in the complement, the plain search takes minutes
+        graphs.append(random_graph(p, rng.randint(p, p * (p - 1) // 2 - p), rng))
+    assert len(graphs) == 2 * 1252 + 2 * 301 + 300
+    for g in graphs:
+        assert pc.canonical_labeling(g) == plain_canonical_labeling(g), g
+
+
+def test_symmetric_graphs_label_fast_and_invariantly():
+    rng = random.Random(16)
+    for name, g in SYMMETRIC.items():
+        forms = set()
+        for h in [g] + [shuffled(g, rng) for _ in range(5)]:
+            start = time.perf_counter()
+            forms.add(canonical_form(h))
+            assert time.perf_counter() - start < 1.0, name
+        assert len(forms) == 1, name
+    for name, text in PINNED_CERTIFICATES.items():
+        assert canonical_form(SYMMETRIC[name]).hex == text, name

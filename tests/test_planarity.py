@@ -4,8 +4,7 @@ import pytest
 
 import polycensus as pc
 from polycensus import NonPlanarGraphError, RotationSystem, embed, is_planar
-from tests.oracles import kuratowski_oracle, sample_graphs, shuffled
-from tests.test_duality import icosahedron
+from tests.oracles import icosahedron, kuratowski_oracle, sample_graphs, shuffled
 
 
 def cube():

@@ -4,18 +4,10 @@
 delete every vertex subset of size 0, 1 and 2 and test connectivity of
 the rest, at most 137 bitmask searches at order <= 16.  A vertex of
 degree below 3 answers at once, since its neighbours are such a subset.
-It stays the public test because it assumes nothing about its input,
-and because the complement check, ``is_polyhedral`` and the tests rely
-on it as the plain definition.
-
-``_three_connected_without_edge`` serves the deletion step of the
-census, where the graph is already known to be 3-connected and only one
-edge goes.  If G is 3-connected, G - ab is 3-connected iff G - ab still
-joins a and b by three internally disjoint paths: a cut S of size <= 2
-in G - ab leaves G - S connected, so ab is a bridge of G - S and S
-separates a from b; Menger's theorem gives the converse.  Counting the
-paths takes at most three augmentations of a unit-capacity flow, in
-place of ~1 + p + C(p, 2) searches.
+It assumes nothing about its input; the complement check,
+``is_polyhedral`` and ``dual`` rely on it as the plain definition.  The
+census runs no such test: whether deleting an edge keeps a polyhedral
+graph 3-connected is read off its faces (see ``enumeration``).
 """
 
 from __future__ import annotations
@@ -69,48 +61,3 @@ def is_3_connected(g: Graph) -> bool:
             return False
     return True
 
-
-def _three_connected_without_edge(g: Graph, a: int, b: int) -> bool:
-    """``is_3_connected(g.remove_edge(a, b))`` for a 3-connected ``g``.
-
-    Counts internally disjoint a-b paths in g - ab by augmenting a unit
-    flow on the vertex-split graph; the answer is wrong if ``g`` is not
-    3-connected.
-    """
-    p = g.p
-    adj = list(g.adj)
-    adj[a] &= ~(1 << b)
-    adj[b] &= ~(1 << a)
-    if adj[a].bit_count() < 3 or adj[b].bit_count() < 3:
-        return False
-    # residual arcs as bitmasks over 2p nodes: node v enters vertex v,
-    # node p + v leaves it; inner arc v -> p + v, edge arcs p + u -> v
-    res = [1 << (p + v) for v in range(p)] + adj
-    source, sink = p + a, b
-    parent = [0] * (2 * p)
-    for _ in range(3):
-        seen = 1 << source
-        frontier = [source]
-        while frontier and not (seen >> sink) & 1:
-            nxt = []
-            for x in frontier:
-                new = res[x] & ~seen
-                seen |= new
-                while new:
-                    low = new & -new
-                    y = low.bit_length() - 1
-                    parent[y] = x
-                    nxt.append(y)
-                    new ^= low
-            frontier = nxt
-        if not (seen >> sink) & 1:
-            return False
-        # unit capacities and no antiparallel arcs: pushing x -> y always
-        # closes x -> y and opens y -> x
-        y = sink
-        while y != source:
-            x = parent[y]
-            res[x] &= ~(1 << y)
-            res[y] |= 1 << x
-            y = x
-    return True

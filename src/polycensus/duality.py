@@ -56,23 +56,28 @@ def _face_graph(g: Graph, faces: Sequence[Sequence[int]]) -> Graph:
     """Dual of the polyhedral ``g`` from the face walks of an embedding.
 
     Face k of ``faces`` becomes vertex k, and each edge uv of g joins the
-    faces that hold the darts u -> v and v -> u.
+    faces that hold the darts u -> v and v -> u (dart x -> y at x * p + y).
     """
+    p, q = g.p, g.q
     # Euler's formula for a connected plane graph
-    assert len(faces) == g.q - g.p + 2
-    side: dict[tuple[int, int], int] = {}
-    for idx, face in enumerate(faces):
-        m = len(face)
-        for k in range(m):
-            side[face[k], face[(k + 1) % m]] = idx
-    edges = {
-        (min(a, b), max(a, b))
-        for u, v in g.edges()
-        for a, b in [(side[u, v], side[v, u])]
-    }
+    assert len(faces) == q - p + 2
+    side = [0] * (p * p)
+    for k, face in enumerate(faces):
+        x = face[-1]
+        for y in face:
+            side[x * p + y] = k
+            x = y
+    rows = [0] * len(faces)
+    for k, face in enumerate(faces):
+        x = face[-1]
+        row = 0
+        for y in face:
+            row |= 1 << side[y * p + x]
+            x = y
+        rows[k] = row
     # 3-connectivity rules out two faces sharing more than one edge
-    assert len(edges) == g.q
-    return Graph.from_edges(len(faces), sorted(edges))
+    assert sum(row.bit_count() for row in rows) == 2 * q
+    return Graph(len(faces), tuple(rows))
 
 
 def is_self_dual(g: Graph) -> bool:

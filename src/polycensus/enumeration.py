@@ -5,17 +5,17 @@ Production route, per order p:
 * maximal planar graphs (q = 3p - 6), the triangulations, are generated
   by splitting a vertex of a smaller one, starting from K4 (below),
 * sparser sizes follow by deleting one edge at a time, keeping only
-  3-connected results.  The parent is already 3-connected, so G - ab
-  is 3-connected exactly when a and b are still joined by three
-  internally disjoint paths (Menger); that one local test replaces a
-  search over every cut of size <= 2, and the child graph is built only
-  for deletions that pass.  This reaches everything: a polyhedral graph
-  below the maximum size has a face of length at least four, two
-  interleaved chords of that face cannot both be drawn in the disc
-  outside it, so some chord is absent and can be added, and repeating
-  climbs to a maximal planar graph through polyhedral graphs,
-* when the dual order q - p + 2 is smaller than p, the census is built
-  on the dual side and dualized back, which is a bijection on classes.
+  3-connected results, read off the faces of the parent (the face test,
+  below); the child graph is built only for deletions that pass.  This
+  reaches everything: a polyhedral graph below the maximum size has a
+  face of length at least four, two interleaved chords of that face
+  cannot both be drawn in the disc outside it, so some chord is absent
+  and can be added, and repeating climbs to a maximal planar graph
+  through polyhedral graphs.  The descent stops at the self-dual line
+  q = 2p - 2,
+* when the dual order q - p + 2 is smaller than p, below the line, the
+  census is built on the dual side and dualized back, which is a
+  bijection on classes.
   Each dual is read off the rotation system carried with its class
   (below): one vertex per face, one edge across each edge.  A
   polyhedral graph has one embedding up to mirror image (Whitney), so
@@ -70,8 +70,8 @@ The child h = g - ab is accepted iff f(a, b) is the maximum of f over
 C(h); it is rejected outright when a or b has degree 3 in g, since h
 then has a vertex of degree 2.
 
-* Sound: accepted children are a subset of the children that the
-  Menger test would keep, so nothing that is not polyhedral gets in.
+* Sound: accepted children pass the face test, so nothing that is not
+  polyhedral gets in.
 * Complete: let H be a class with q edges and xy a pair of C(H) with
   the largest score.  H + xy is polyhedral with q + 1 edges, so by
   induction it is isomorphic to some parent g of the level above, and
@@ -79,6 +79,18 @@ then has a vertex of degree 2.
   H.  A 3-connected planar graph has one embedding up to mirror image
   (Whitney), so its faces, and with them C and f, are invariant under
   isomorphism: f(a, b) is the maximum over C(g - ab), and H is found.
+
+Face test.  Let ab lie between the faces F1 and F2 of the polyhedral g.
+Then g - ab is 3-connected iff no face of g other than F1 and F2 holds
+both a vertex of F1 - {a, b} and a vertex of F2 - {a, b}.  If a face
+holds such x and y, a closed curve through it and the merged face meets
+g - ab only in x and y and separates a from b.  If {x, y} cuts g - ab,
+it separates a from b, since g - {x, y} is connected; in the plane
+graph g - ab a closed curve through two faces then meets it only in x
+and y.  One face is the merged one, or the curve would cut g, so x and
+y lie on opposite a-b paths of its boundary; the other face is a face
+of g other than F1 and F2.  As F1 and F2 share only a and b, the test
+is one bitmask of faces per vertex, ORed over each side.
 
 For both rules, classes are keyed by certificate and stored as their
 canonical graphs, so the output does not depend on which child reached
@@ -102,7 +114,6 @@ from functools import cache
 from itertools import combinations
 from typing import TypeVar
 
-from .connectivity import _three_connected_without_edge
 from .duality import _face_graph
 from .graphs import DegreeSequence, Graph, bits, complete, face_walks
 from .isomorphism import (
@@ -115,6 +126,7 @@ from .isomorphism import (
 MAX_ENUM_ORDER = 9
 
 _Rotations = tuple[tuple[int, ...], ...]
+_Classes = tuple[tuple[Graph, _Rotations], ...]  # (class, its rotations)
 _T = TypeVar("_T")
 
 
@@ -209,7 +221,7 @@ def _relabelled(
 
 
 @cache
-def _embedded_triangulations(p: int) -> tuple[tuple[Graph, _Rotations], ...]:
+def _embedded_triangulations(p: int) -> _Classes:
     """(class, its rotation system) for every maximal planar graph on p
     vertices, canonical and sorted."""
     if not 4 <= p <= MAX_ENUM_ORDER:
@@ -256,12 +268,35 @@ def _outscored(
     return False
 
 
+def _faces_through(faces: list[list[int]], p: int) -> list[int]:
+    """For each vertex, the bitmask of the faces that pass through it."""
+    on = [0] * p
+    for k, f in enumerate(faces):
+        for x in f:
+            on[x] |= 1 << k
+    return on
+
+
+def _keeps_3_connected(on: list[int], left: list[int], right: list[int]) -> bool:
+    """The face test: whether g - ab is 3-connected, for a polyhedral g
+    with the faces through each vertex in ``on`` and the faces either
+    side of ab, less a and b, in ``left`` and ``right``."""
+    lo = hi = 0
+    for x in left:
+        lo |= on[x]
+    for y in right:
+        hi |= on[y]
+    return not lo & hi
+
+
 def _accepted_deletions(g: Graph, rot: _Rotations):
-    """Edges ab of g, a and b of degree at least 4, such that ab scores
-    best among the pairs C(g - ab); ``rot`` embeds the 3-connected g."""
+    """Edges ab of g, a and b of degree at least 4, such that g - ab is
+    3-connected and ab scores best among the pairs C(g - ab); ``rot``
+    embeds the 3-connected g."""
     adj = g.adj
     deg = [len(r) for r in rot]
     faces, face_of = face_walks(rot)
+    on = _faces_through(faces, g.p)
     # in a 3-connected plane graph two faces meet in at most an edge, so
     # a non-adjacent pair lies on one face at most
     pairs = sorted(
@@ -282,7 +317,7 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
         # the faces either side of ab merge; they share only a and b
         left = [x for x in faces[face_of[a * g.p + b]] if x != a and x != b]
         right = [y for y in faces[face_of[b * g.p + a]] if y != a and y != b]
-        if not any(
+        if _keeps_3_connected(on, left, right) and not any(
             not adj[x] >> y & 1 and _score(deg[x], deg[y]) > best
             for x in left
             for y in right
@@ -290,29 +325,34 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
             yield a, b
 
 
+def _deletion_level(parents: _Classes) -> _Classes:
+    """(class, its rotation system) for every polyhedral graph one edge
+    below the cell whose classes are ``parents``, canonical and sorted."""
+    found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
+    for g, rot in parents:
+        for a, b in _accepted_deletions(g, rot):
+            h = g.remove_edge(a, b)
+            cf = canonical_form(h)
+            if cf not in found:
+                perm = canonical_labeling(h)
+                found[cf] = (canonical_graph(h), _relabelled(rot, perm, a, b))
+    return _sorted_classes(found)
+
+
 @cache
-def _embedded_census(p: int) -> dict[int, tuple[tuple[Graph, _Rotations], ...]]:
-    """q -> (class, its rotation system), for every feasible size at order p."""
-    q_top = 3 * p - 6
-    q_bot = (3 * p + 1) // 2
-    out = {q_top: _embedded_triangulations(p)}
-    for q in range(q_top - 1, q_bot - 1, -1):
-        found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
-        for g, rot in out[q + 1]:
-            for a, b in _accepted_deletions(g, rot):
-                if _three_connected_without_edge(g, a, b):
-                    h = g.remove_edge(a, b)
-                    cf = canonical_form(h)
-                    if cf not in found:
-                        perm = canonical_labeling(h)
-                        found[cf] = (canonical_graph(h), _relabelled(rot, perm, a, b))
-        out[q] = _sorted_classes(found)
+def _embedded_census(p: int) -> dict[int, _Classes]:
+    """q -> (class, its rotation system), for every feasible size at order
+    p from 3p - 6 down to the self-dual line q = 2p - 2; the sizes below
+    are served by the dual side."""
+    out = {3 * p - 6: _embedded_triangulations(p)}
+    for q in range(3 * p - 7, 2 * p - 3, -1):
+        out[q] = _deletion_level(out[q + 1])
     return out
 
 
 @cache
 def _census_by_order(p: int) -> dict[int, tuple[Graph, ...]]:
-    """q -> classes, for every feasible size at order p."""
+    """q -> classes, for every size at order p down to q = 2p - 2."""
     return {
         q: tuple(g for g, _ in classes)
         for q, classes in _embedded_census(p).items()

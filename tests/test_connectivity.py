@@ -1,12 +1,9 @@
 import random
 
 import polycensus as pc
-from polycensus.connectivity import _three_connected_without_edge
-from polycensus.enumeration import _census_by_order
 from tests.oracles import (
     brute_3_connected,
     neighbor_sets,
-    petersen,
     sample_graphs,
     set_connected,
 )
@@ -75,40 +72,3 @@ def test_3_connected_census_members_and_complements():
         rng.shuffle(perm)
         assert pc.is_3_connected(g.relabel(tuple(perm)))
 
-
-def assert_deletions_agree(g):
-    """The local deletion test against the brute-force definition, every edge."""
-    for a, b in g.edges():
-        expected = pc.is_3_connected(g.remove_edge(a, b))
-        assert _three_connected_without_edge(g, a, b) == expected, (pc.encode(g), a, b)
-
-
-def test_edge_deletion_test_on_census_through_order_8():
-    deletions = 0
-    for p in range(4, 9):
-        for graphs in _census_by_order(p).values():
-            for g in graphs:
-                assert_deletions_agree(g)
-                deletions += g.q
-    assert deletions == 4525
-
-
-def test_edge_deletion_test_on_non_planar_graphs():
-    named = [
-        pc.complete(5),
-        pc.complete(6),
-        pc.complete_bipartite(3, 3),
-        pc.complete_bipartite(4, 4),
-        pc.complete_multipartite(2, 2, 2, 2),
-        petersen(),
-    ]
-    sampled = [
-        g
-        for p, seed in ((9, 2099), (10, 2010))
-        for g in sample_graphs(p, 60, seed)
-        if pc.is_3_connected(g)
-    ]
-    for g in named:
-        assert pc.is_3_connected(g) and not pc.is_planar(g)
-    for g in named + sampled:
-        assert_deletions_agree(g)

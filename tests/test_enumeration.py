@@ -10,6 +10,7 @@ import ast
 import hashlib
 import inspect
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -28,8 +29,11 @@ from polycensus.enumeration import (
     _accepted_deletions,
     _accepted_splits,
     _census_by_order,
+    _deletion_level,
     _embedded_census,
     _embedded_triangulations,
+    _faces_through,
+    _keeps_3_connected,
     _split,
 )
 from polycensus.graphs import face_walks
@@ -57,6 +61,20 @@ SIZE_TOTALS = dict(zip(range(6, 18), (1, 0, 1, 2, 2, 4, 12, 22, 58, 158, 448, 13
 
 def certs(graphs):
     return {pc.canonical_form(g) for g in graphs}
+
+
+def _descended(census, p):
+    """``census`` of order p continued below the self-dual line, where
+    production reads the dual side, by the same deletion step."""
+    levels = dict(census)
+    for q in range(min(levels) - 1, (3 * p + 1) // 2 - 1, -1):
+        levels[q] = _deletion_level(levels[q + 1])
+    return levels
+
+
+@cache
+def _full_census(p):
+    return _descended(_embedded_census(p), p)
 
 
 def test_order_bounds():
@@ -89,8 +107,11 @@ def test_triangulations_against_oracle():
 
 def test_census_row_counts():
     for p, row in CENSUS_ROWS.items():
-        got = {q: len(v) for q, v in _census_by_order(p).items()}
+        got = {q: len(v) for q, v in _full_census(p).items()}
         assert got == row, f"p={p}"
+        # production descends only to the self-dual line q = 2p - 2
+        got = {q: len(v) for q, v in _census_by_order(p).items()}
+        assert got == {q: n for q, n in row.items() if q >= 2 * p - 2}, f"p={p}"
 
 
 def test_census_against_oracle_exhaustive():
@@ -213,6 +234,8 @@ def test_census_never_embeds():
             names.add(node.attr)
     assert not any("planarity" in n for n in names)
     assert "embed" not in names
+    # and reads 3-connectivity after a deletion off the faces
+    assert not any("connectivity" in n for n in names)
 
 
 def test_acceptance_rule_ignores_labels():
@@ -220,7 +243,7 @@ def test_acceptance_rule_ignores_labels():
     # deletions along; a score that read labels would move them
     rng = random.Random(8)
     for p in range(5, 9):
-        for classes in _embedded_census(p).values():
+        for classes in _full_census(p).values():
             for g, rot in classes:
                 perm = list(range(p))
                 rng.shuffle(perm)
@@ -236,8 +259,9 @@ def test_acceptance_rule_ignores_labels():
 
 
 def test_acceptance_skips_most_canonical_forms(monkeypatch):
-    # 1,465 deletions from the order-8 classes are 3-connected; without
-    # the acceptance rule each of them was canonically labelled
+    # 1,355 deletions from the order-8 classes down to the self-dual line
+    # are 3-connected; without the acceptance rule each of them was
+    # canonically labelled
     enumeration.triangulations(8)  # cached; its labels are not counted
     calls = []
     form = enumeration.canonical_form
@@ -249,21 +273,42 @@ def test_acceptance_skips_most_canonical_forms(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_form", counting)
     # the undecorated function runs a fresh census and leaves the caches be
     census = _embedded_census.__wrapped__(8)
-    assert len(calls) < 1465 // 2
-    assert {q: len(v) for q, v in census.items()} == CENSUS_ROWS[8]
+    assert len(calls) == 365
+    assert {q: len(v) for q, v in _descended(census, 8).items()} == CENSUS_ROWS[8]
 
 
 def test_dual_route_matches_direct_descent():
     # every cell with q - p + 2 < p <= 9 comes out of the dual side in
-    # production; the straight deletion descent must land on the same
-    # stored classes, in the same order
+    # production; the deletion descent continued below the line must
+    # land on the same stored classes, in the same order
     cells = 0
     for p in range(4, 10):
-        for q, direct in _census_by_order(p).items():
+        for q, direct in _full_census(p).items():
             if q - p + 2 < p:
-                assert enumerate_polyhedra(p, q) == direct, (p, q)
+                assert enumerate_polyhedra(p, q) == tuple(g for g, _ in direct), (p, q)
                 cells += 1
     assert cells == 6
+
+
+def test_deletion_face_criterion_through_order_8():
+    # g - ab is 3-connected iff no face of g but the two beside ab meets
+    # both of their other vertices; checked on every edge of every class
+    # against the definition
+    deletions = 0
+    for p in range(4, 9):
+        for classes in _full_census(p).values():
+            for g, rot in classes:
+                faces, face_of = face_walks(rot)
+                on = _faces_through(faces, p)
+                for a, b in g.edges():
+                    left = [x for x in faces[face_of[a * p + b]] if x != a and x != b]
+                    right = [y for y in faces[face_of[b * p + a]] if y != a and y != b]
+                    expected = pc.is_3_connected(g.remove_edge(a, b))
+                    assert _keeps_3_connected(on, left, right) == expected, (
+                        pc.encode(g), a, b,
+                    )
+                    deletions += 1
+    assert deletions == 4525
 
 
 def test_carried_faces_give_the_dual():
@@ -309,7 +354,7 @@ def test_each_triangulation_embedded_once(monkeypatch):
         assert _embedded_triangulations.__wrapped__(p) == _embedded_triangulations(p)
         assert embeds == [], p
         embeds.clear()
-        census = _embedded_census.__wrapped__(p)
+        census = _descended(_embedded_census.__wrapped__(p), p)
         assert embeds == [], p
         assert {q: len(v) for q, v in census.items()} == CENSUS_ROWS[p]
 

@@ -32,7 +32,7 @@ from .classify import (
     verify_planar_complement_bound,
     verify_remark_8_14,
 )
-from .connectivity import is_3_connected, is_connected, min_degree
+from .connectivity import is_3_connected, is_connected
 from .duality import NotPolyhedralError, dual, is_polyhedral, is_self_dual
 from .enumeration import (
     MAX_ENUM_ORDER,
@@ -91,7 +91,6 @@ __all__ = [
     "verify_remark_8_14",
     "is_3_connected",
     "is_connected",
-    "min_degree",
     "NotPolyhedralError",
     "dual",
     "is_polyhedral",

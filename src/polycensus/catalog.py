@@ -11,9 +11,9 @@ degree sequence, the partner's degree sequence, and finally the
 canonical certificate, which settles anything left.
 
 Duals come from the census, not from ``dual``: the census keeps the
-dual of every class of a cell, read off the rotation system it carries
-with the class, and both its dual-side cells and this module read that
-one cached pairing, so no catalog class is embedded or tested again.
+dual of every class of a cell, read off the faces it carries with the
+class, and both its dual-side cells and this module read that one
+cached pairing, so no catalog class is embedded or tested again.
 
 The three graphs whose complements are again polyhedral also carry the
 names they go by in the published census of that classification; the

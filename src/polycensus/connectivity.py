@@ -40,10 +40,6 @@ def is_connected(g: Graph) -> bool:
     return _connected_within(g.adj, (1 << g.p) - 1)
 
 
-def min_degree(g: Graph) -> int:
-    return min(row.bit_count() for row in g.adj)
-
-
 def is_3_connected(g: Graph) -> bool:
     """True iff ``g`` has more than 3 vertices and no cut set of size < 3."""
     p, adj = g.p, g.adj

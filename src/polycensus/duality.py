@@ -5,11 +5,11 @@ a graph has an essentially unique embedding, so its dual is a single
 well-defined isomorphism class, again polyhedral, with
 p* = q - p + 2 vertices and q* = q edges.
 
-``_face_graph`` builds a dual from the face walks of a given embedding.
-Both callers take the walks from ``graphs.face_walks``: ``dual`` embeds
-its input and passes ``RotationSystem.faces()``, the walks in normal
-form, and the census passes the raw walks of the rotation system it
-already carries for each class.
+``_face_graph`` builds a dual from the faces of a polyhedral graph,
+each the bitmask of its vertices; the two faces either side of an edge
+are the only two that hold both its ends.  ``dual`` embeds its input
+and passes the vertex sets of ``RotationSystem.faces()``, and the
+census passes the faces it carries with each class.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .connectivity import is_3_connected
-from .graphs import Graph
+from .graphs import Graph, bits
 from .isomorphism import are_isomorphic
 from .planarity import NonPlanarGraphError, embed, is_planar
 
@@ -49,32 +49,36 @@ def dual(g: Graph) -> Graph:
         faces = embed(g).faces()
     except NonPlanarGraphError:
         raise _not_polyhedral(g) from None
-    return _face_graph(g, faces)
+    return _face_graph(g, [sum(1 << x for x in f) for f in faces])
 
 
-def _face_graph(g: Graph, faces: Sequence[Sequence[int]]) -> Graph:
-    """Dual of the polyhedral ``g`` from the face walks of an embedding.
+def _faces_through(faces: Sequence[int], p: int) -> list[int]:
+    """For each vertex, the bitmask of the faces (vertex masks) through it."""
+    on = [0] * p
+    for k, f in enumerate(faces):
+        for x in bits(f):
+            on[x] |= 1 << k
+    return on
 
-    Face k of ``faces`` becomes vertex k, and each edge uv of g joins the
-    faces that hold the darts u -> v and v -> u (dart x -> y at x * p + y).
+
+def _face_graph(g: Graph, faces: Sequence[int]) -> Graph:
+    """Dual of the polyhedral ``g`` from the vertex masks of its faces.
+
+    Face k becomes vertex k, and each edge uv of g joins the two faces
+    that hold both u and v: faces are induced cycles, so these are the
+    faces either side of uv.  A dual may have up to 28 vertices, so the
+    face sets through a vertex are never read with ``bits``.
     """
     p, q = g.p, g.q
     # Euler's formula for a connected plane graph
     assert len(faces) == q - p + 2
-    side = [0] * (p * p)
-    for k, face in enumerate(faces):
-        x = face[-1]
-        for y in face:
-            side[x * p + y] = k
-            x = y
+    on = _faces_through(faces, p)
     rows = [0] * len(faces)
-    for k, face in enumerate(faces):
-        x = face[-1]
-        row = 0
-        for y in face:
-            row |= 1 << side[y * p + x]
-            x = y
-        rows[k] = row
+    for u, v in g.edges():
+        both = on[u] & on[v]
+        low = both & -both
+        rows[low.bit_length() - 1] |= both ^ low
+        rows[both.bit_length() - 1] |= low
     # 3-connectivity rules out two faces sharing more than one edge
     assert sum(row.bit_count() for row in rows) == 2 * q
     return Graph(len(faces), tuple(rows))

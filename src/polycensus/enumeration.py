@@ -16,17 +16,21 @@ Production route, per order p:
 * when the dual order q - p + 2 is smaller than p, below the line, the
   census is built on the dual side and dualized back, which is a
   bijection on classes.
-  Each dual is read off the rotation system carried with its class
-  (below): one vertex per face, one edge across each edge.  A
-  polyhedral graph has one embedding up to mirror image (Whitney), so
-  these faces give the same dual class as any other embedding would,
-  and no class is tested or embedded again.  The catalog reads its
-  duals from the same cached pairing.
+  Each dual is read off the faces carried with its class (below): one
+  vertex per face, one edge across each edge.  These are the faces of
+  every embedding, so no class is tested or embedded again.  The
+  catalog reads its duals from the same cached pairing.
 
-Each class carries a rotation system, and nothing is ever embedded:
-K4's is written down, a split builds its rotations from its parent's,
-the rotations of h = g - ab are those of g with b dropped at a and a
-dropped at b, and a new class relabels them by its canonical labelling.
+Each class carries its faces, each the bitmask of its vertices, and
+nothing is ever embedded or walked.  A polyhedral graph has one
+embedding up to mirror image (Whitney), so its faces are fixed as
+vertex sets, with no orientation.  A face is an induced cycle, since
+the ends of a chord would cut the graph, so an edge ab lies on exactly
+two faces, the only two that hold both a and b.
+K4's faces are its four triangles, a split builds its faces from its
+parent's (below), deleting ab merges the two faces beside it and keeps
+the rest, and a new class relabels its faces by its canonical
+labelling.
 
 Most children, of a split or of a deletion, are isomorphic to a child
 of another parent, so a child is canonically labelled only when the
@@ -37,10 +41,12 @@ generation of planar graphs*, 2007).  Both rules score a vertex pair by
 f(x, y) = (d(x) + d(y), min(d(x), d(y))), compared lexicographically,
 which reads degrees only and so is invariant under isomorphism.
 
-Splitting.  For the rotation r of a vertex v of a triangulation t and
-i < j, the split at (v, i, j) replaces v by an edge v-p: v keeps the
-arc r[i..j], p takes the arc r[j..i], and the arc ends r[i] and r[j]
-become the common neighbours of v and p.  An edge xy of a
+Splitting.  The neighbours of a vertex v of a triangulation t form a
+cycle r, its ring, read off the triangles through v, each of which
+joins two consecutive ones.  For i < j, the split at (v, i, j) replaces
+v by an edge v-p: v keeps the triangles of the arc r[i..j], p takes
+those of the arc r[j..i], and the arc ends r[i] and r[j], each on a new
+triangle with v and p, become their common neighbours.  An edge xy of a
 triangulation is contractible when x and y have exactly two common
 neighbours, so that xy lies on no separating triangle; contracting it
 gives a triangulation with one vertex fewer.  The new edge vp is
@@ -53,13 +59,12 @@ of s.
   contractible edge; let xy be one with the largest score.  Contracting
   it gives a triangulation T on one vertex fewer, so by induction T is
   isomorphic to a class t of the order below.  The isomorphism takes
-  the merged vertex to a vertex v of t, and the two common neighbours
-  of x and y to two entries r[i], r[j] of the rotation at v, which cut
-  it into the neighbours of x and those of y: t is 3-connected, so its
-  carried embedding is that of T up to mirror image (Whitney), and a
-  mirror image only reverses the rotation.  The split at (v, i, j) is
-  S up to swapping x and y, as (v, i, j) ranges over every arc pair of
-  every vertex, and vp is the image of xy.  Contractibility and f are
+  the merged vertex to a vertex v of t, its faces to the faces of t and
+  so its ring to the ring r of v, and the two common neighbours of x
+  and y to two entries r[i], r[j], which cut r into the neighbours of x
+  and those of y.  The split at (v, i, j) is S up to swapping x and y,
+  as (v, i, j) ranges over every arc pair of every vertex, and vp is
+  the image of xy.  Contractibility and f are
   invariant under isomorphism, so vp is a best contractible edge of the
   split and S is found.
 
@@ -76,9 +81,9 @@ then has a vertex of degree 2.
   the largest score.  H + xy is polyhedral with q + 1 edges, so by
   induction it is isomorphic to some parent g of the level above, and
   the isomorphism takes xy to an edge ab of g with g - ab isomorphic to
-  H.  A 3-connected planar graph has one embedding up to mirror image
-  (Whitney), so its faces, and with them C and f, are invariant under
-  isomorphism: f(a, b) is the maximum over C(g - ab), and H is found.
+  H.  The faces of a polyhedral graph, and with them C and f, are
+  invariant under isomorphism (Whitney): f(a, b) is the maximum over
+  C(g - ab), and H is found.
 
 Face test.  Let ab lie between the faces F1 and F2 of the polyhedral g.
 Then g - ab is 3-connected iff no face of g other than F1 and F2 holds
@@ -97,7 +102,7 @@ canonical graphs, so the output does not depend on which child reached
 a class first.
 
 The deletion check is cheap because deletion only lowers degrees: the
-faces of g are walked once per parent, and its pairs C(g) are sorted by
+faces of g are read once per parent, and its pairs C(g) are sorted by
 score in g.  Deleting ab merges the two faces on either side of ab and
 leaves every other face as it was, so C(g - ab) is C(g), the pair
 {a, b} and the pairs across the two merged faces.  Only pairs that
@@ -114,8 +119,8 @@ from functools import cache
 from itertools import combinations
 from typing import TypeVar
 
-from .duality import _face_graph
-from .graphs import DegreeSequence, Graph, bits, complete, face_walks
+from .duality import _face_graph, _faces_through
+from .graphs import DegreeSequence, Graph, bits, complete
 from .isomorphism import (
     CanonicalForm,
     canonical_form,
@@ -125,8 +130,8 @@ from .isomorphism import (
 
 MAX_ENUM_ORDER = 9
 
-_Rotations = tuple[tuple[int, ...], ...]
-_Classes = tuple[tuple[Graph, _Rotations], ...]  # (class, its rotations)
+_Faces = tuple[int, ...]  # one vertex bitmask per face
+_Classes = tuple[tuple[Graph, _Faces], ...]  # (class, its faces)
 _T = TypeVar("_T")
 
 
@@ -150,34 +155,45 @@ def _score(dx: int, dy: int) -> int:
     return (dx + dy) << 4 | min(dx, dy)
 
 
+def _relabelled(faces: _Faces, perm: tuple[int, ...]) -> _Faces:
+    """Faces relabelled by ``perm`` (old vertex -> new)."""
+    return tuple(sum(1 << perm[x] for x in bits(f)) for f in faces)
+
+
 # ---------------------------------------------------------------------------
 # maximal planar graphs by vertex splitting
 
-# K4, its own canonical graph, drawn in the plane
-_K4_ROTATIONS: _Rotations = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+def _ring(faces: _Faces, v: int) -> list[int]:
+    """The neighbours of v in cyclic order, read off the triangles
+    through v, each of which joins two consecutive ones."""
+    link: dict[int, int] = {}
+    for f in faces:
+        if f >> v & 1:
+            a, b = bits(f ^ 1 << v)
+            link[a] = link.get(a, 0) | 1 << b
+            link[b] = link.get(b, 0) | 1 << a
+    ring = [next(iter(link))]
+    x = link[ring[0]].bit_length() - 1
+    while x != ring[0]:
+        ring.append(x)
+        x = (link[x] ^ 1 << ring[-2]).bit_length() - 1
+    return ring
 
 
-def _split(rot: _Rotations, v: int, i: int, j: int) -> _Rotations:
-    """Rotations after replacing v by an edge v-p, where p = len(rot).
+def _split(faces: _Faces, v: int, ring: list[int], i: int, j: int) -> _Faces:
+    """Faces after replacing v by an edge v-p in a triangulation on p
+    vertices.
 
-    v keeps the arc rot[v][i..j] and p takes the arc rot[v][j..i]; the
-    two arc ends, on both arcs, gain p beside v, and the vertices inside
-    p's arc see p where they saw v.
+    v keeps the triangles of the arc ring[i..j], p takes those of the
+    arc ring[j..i], and the arc ends ring[i] and ring[j] each gain a
+    triangle on vp.
     """
-    r = rot[v]
-    p = len(rot)
-    out = list(rot)
-    out[v] = r[i : j + 1] + (p,)
-    out.append(r[j:] + r[: i + 1] + (v,))
-    for u in r[j + 1 :] + r[:i]:
-        k = rot[u].index(v)
-        out[u] = rot[u][:k] + (p,) + rot[u][k + 1 :]
-    # p lies on the side of r[i - 1] at r[i] and of r[j + 1] at r[j]
-    a, b = r[i], r[j]
-    k = rot[a].index(v) + 1
-    out[a] = rot[a][:k] + (p,) + rot[a][k:]
-    k = rot[b].index(v)
-    out[b] = rot[b][:k] + (p,) + rot[b][k:]
+    # a triangulation on p vertices has 2p - 4 faces
+    vb, pb = 1 << v, 1 << len(faces) // 2 + 2
+    out = [f for f in faces if not f & vb]
+    for k, x in enumerate(ring):
+        out.append((vb if i <= k < j else pb) | 1 << x | 1 << ring[k + 1 - len(ring)])
+    out += [vb | pb | 1 << ring[i], vb | pb | 1 << ring[j]]
     return tuple(out)
 
 
@@ -196,41 +212,34 @@ def _best_contractible(adj: list[int], x: int, y: int) -> bool:
     return True
 
 
-def _accepted_splits(rot: _Rotations):
-    """(rotations, adjacency rows) of the splits of the triangulation
-    embedded by ``rot`` whose new edge is a best contractible edge."""
-    p = len(rot)
-    for v, r in enumerate(rot):
-        for i, j in combinations(range(len(r)), 2):
-            split = _split(rot, v, i, j)
-            rows = [sum(1 << u for u in nbrs) for nbrs in split]
+def _accepted_splits(faces: _Faces):
+    """(faces, adjacency rows) of the splits of the triangulation with
+    ``faces`` whose new edge is a best contractible edge."""
+    p = len(faces) // 2 + 2
+    for v in range(p):
+        ring = _ring(faces, v)
+        for i, j in combinations(range(len(ring)), 2):
+            split = _split(faces, v, ring, i, j)
+            rows = [0] * (p + 1)
+            for f in split:
+                for x in bits(f):
+                    rows[x] |= f ^ 1 << x
             if _best_contractible(rows, v, p):
                 yield split, rows
 
 
-def _relabelled(
-    rot: _Rotations, perm: tuple[int, ...], a: int = -1, b: int = -1
-) -> _Rotations:
-    """Rotations relabelled by ``perm`` (old vertex -> new), without the
-    edge ab when one is given."""
-    out: list[tuple[int, ...]] = [()] * len(rot)
-    for v, r in enumerate(rot):
-        gone = b if v == a else a if v == b else -1
-        out[perm[v]] = tuple(perm[u] for u in r if u != gone)
-    return tuple(out)
-
-
 @cache
 def _embedded_triangulations(p: int) -> _Classes:
-    """(class, its rotation system) for every maximal planar graph on p
-    vertices, canonical and sorted."""
+    """(class, its faces) for every maximal planar graph on p vertices,
+    canonical and sorted."""
     if not 4 <= p <= MAX_ENUM_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ENUM_ORDER}")
     if p == 4:
-        return ((canonical_graph(complete(4)), _K4_ROTATIONS),)
-    found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
-    for _, rot in _embedded_triangulations(p - 1):
-        for split, adj in _accepted_splits(rot):
+        # K4 is its own canonical graph; its faces are its four triangles
+        return ((canonical_graph(complete(4)), tuple(15 ^ 1 << v for v in range(4))),)
+    found: dict[CanonicalForm, tuple[Graph, _Faces]] = {}
+    for _, faces in _embedded_triangulations(p - 1):
+        for split, adj in _accepted_splits(faces):
             s = Graph._derived(p, tuple(adj))
             cf = canonical_form(s)
             if cf not in found:
@@ -268,34 +277,24 @@ def _outscored(
     return False
 
 
-def _faces_through(faces: list[list[int]], p: int) -> list[int]:
-    """For each vertex, the bitmask of the faces that pass through it."""
-    on = [0] * p
-    for k, f in enumerate(faces):
-        for x in f:
-            on[x] |= 1 << k
-    return on
-
-
-def _keeps_3_connected(on: list[int], left: list[int], right: list[int]) -> bool:
+def _keeps_3_connected(on: list[int], left: int, right: int) -> bool:
     """The face test: whether g - ab is 3-connected, for a polyhedral g
-    with the faces through each vertex in ``on`` and the faces either
-    side of ab, less a and b, in ``left`` and ``right``."""
+    with the faces through each vertex in ``on`` and the vertex masks of
+    the faces either side of ab, less a and b, in ``left`` and ``right``."""
     lo = hi = 0
-    for x in left:
+    for x in bits(left):
         lo |= on[x]
-    for y in right:
+    for y in bits(right):
         hi |= on[y]
     return not lo & hi
 
 
-def _accepted_deletions(g: Graph, rot: _Rotations):
-    """Edges ab of g, a and b of degree at least 4, such that g - ab is
-    3-connected and ab scores best among the pairs C(g - ab); ``rot``
-    embeds the 3-connected g."""
+def _accepted_deletions(g: Graph, faces: _Faces):
+    """(a, b, faces of g - ab) for the edges ab of g, a and b of degree
+    at least 4, such that g - ab is 3-connected and ab scores best among
+    the pairs C(g - ab); ``faces`` are those of the polyhedral g."""
     adj = g.adj
-    deg = [len(r) for r in rot]
-    faces, face_of = face_walks(rot)
+    deg = [row.bit_count() for row in adj]
     on = _faces_through(faces, g.p)
     # in a 3-connected plane graph two faces meet in at most an edge, so
     # a non-adjacent pair lies on one face at most
@@ -303,7 +302,7 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
         (
             (_score(deg[x], deg[y]), x, y)
             for f in faces
-            for x, y in combinations(f, 2)
+            for x, y in combinations(bits(f), 2)
             if not adj[x] >> y & 1
         ),
         reverse=True,
@@ -314,36 +313,41 @@ def _accepted_deletions(g: Graph, rot: _Rotations):
         best = _score(deg[a] - 1, deg[b] - 1)
         if _outscored(pairs, deg, a, b, best):
             continue
-        # the faces either side of ab merge; they share only a and b
-        left = [x for x in faces[face_of[a * g.p + b]] if x != a and x != b]
-        right = [y for y in faces[face_of[b * g.p + a]] if y != a and y != b]
+        # the faces either side of ab are the only two that hold both a
+        # and b, since faces are induced cycles; they merge, and share
+        # only a and b
+        both = on[a] & on[b]
+        k, m = (both & -both).bit_length() - 1, both.bit_length() - 1
+        ab = 1 << a | 1 << b
+        left, right = faces[k] & ~ab, faces[m] & ~ab
         if _keeps_3_connected(on, left, right) and not any(
             not adj[x] >> y & 1 and _score(deg[x], deg[y]) > best
-            for x in left
-            for y in right
+            for x in bits(left)
+            for y in bits(right)
         ):
-            yield a, b
+            merged = faces[k] | faces[m]
+            yield a, b, faces[:k] + (merged,) + faces[k + 1 : m] + faces[m + 1 :]
 
 
 def _deletion_level(parents: _Classes) -> _Classes:
-    """(class, its rotation system) for every polyhedral graph one edge
-    below the cell whose classes are ``parents``, canonical and sorted."""
-    found: dict[CanonicalForm, tuple[Graph, _Rotations]] = {}
-    for g, rot in parents:
-        for a, b in _accepted_deletions(g, rot):
+    """(class, its faces) for every polyhedral graph one edge below the
+    cell whose classes are ``parents``, canonical and sorted."""
+    found: dict[CanonicalForm, tuple[Graph, _Faces]] = {}
+    for g, faces in parents:
+        for a, b, merged in _accepted_deletions(g, faces):
             h = g.remove_edge(a, b)
             cf = canonical_form(h)
             if cf not in found:
                 perm = canonical_labeling(h)
-                found[cf] = (canonical_graph(h), _relabelled(rot, perm, a, b))
+                found[cf] = (canonical_graph(h), _relabelled(merged, perm))
     return _sorted_classes(found)
 
 
 @cache
 def _embedded_census(p: int) -> dict[int, _Classes]:
-    """q -> (class, its rotation system), for every feasible size at order
-    p from 3p - 6 down to the self-dual line q = 2p - 2; the sizes below
-    are served by the dual side."""
+    """q -> (class, its faces), for every feasible size at order p from
+    3p - 6 down to the self-dual line q = 2p - 2; the sizes below are
+    served by the dual side."""
     out = {3 * p - 6: _embedded_triangulations(p)}
     for q in range(3 * p - 7, 2 * p - 3, -1):
         out[q] = _deletion_level(out[q + 1])
@@ -351,22 +355,13 @@ def _embedded_census(p: int) -> dict[int, _Classes]:
 
 
 @cache
-def _census_by_order(p: int) -> dict[int, tuple[Graph, ...]]:
-    """q -> classes, for every size at order p down to q = 2p - 2."""
-    return {
-        q: tuple(g for g, _ in classes)
-        for q, classes in _embedded_census(p).items()
-    }
-
-
-@cache
 def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...]:
     """(class, its dual's certificate, its dual's canonical graph) for
     every class of the cell (r, q) of the direct descent, the dual read
-    off the carried rotation system."""
+    off the carried faces."""
     out = []
-    for h, rot in _embedded_census(r)[q]:
-        d = _face_graph(h, face_walks(rot)[0])
+    for h, faces in _embedded_census(r)[q]:
+        d = _face_graph(h, faces)
         # both calls share one cached canonical labelling of d
         out.append((h, canonical_form(d), canonical_graph(d)))
     return tuple(out)
@@ -387,7 +382,7 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
         )
     if r < p:
         return _sorted_classes({c: d for _, c, d in _dual_pairs(r, q)})
-    return _census_by_order(p)[q]
+    return tuple(g for g, _ in _embedded_census(p)[q])
 
 
 def _dual_certificates(p: int, q: int) -> dict[Graph, CanonicalForm]:

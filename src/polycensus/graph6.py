@@ -58,29 +58,22 @@ def decode(text: str) -> Graph:
             f"expected {expect} characters for order {n}, got {len(s)}",
             min(len(s), expect),
         )
-    rows = [0] * n
-    bit = 0
+    # the 6-bit groups as one integer, the first bit highest
+    data = 0
     for k, ch in enumerate(s[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise Graph6Error(f"character {ch!r} outside graph6 range", k)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> shift) & 1:
-                    raise Graph6Error("nonzero padding bits", k)
-                continue
-            if (val >> shift) & 1:
-                i, j = _pair(bit)
+        data = data << 6 | val
+    pad = 6 * (expect - 1) - nbits
+    if data & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", expect - 1)
+    rows = [0] * n
+    bit = nbits + pad
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if data >> bit & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
     return Graph(n, tuple(rows))
-
-
-def _pair(bit_index: int) -> tuple[int, int]:
-    """Map a bit position in the column-order upper triangle to its (i, j)."""
-    j = 1
-    while bit_index >= j:
-        bit_index -= j
-        j += 1
-    return bit_index, j

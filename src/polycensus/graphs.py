@@ -1,7 +1,6 @@
 """Immutable simple graphs on at most 16 vertices, stored as adjacency bit rows.
 
-Also the two low-level walks the other modules share: ``bits`` over a
-row, and ``face_walks`` over the darts of a rotation system.
+Also the low-level walk the other modules share: ``bits`` over a row.
 """
 
 from __future__ import annotations
@@ -21,39 +20,6 @@ _HIGH = tuple(tuple(i + 8 for i in range(8) if m >> i & 1) for m in range(256))
 def bits(mask: int) -> tuple[int, ...]:
     """Set bit positions of ``mask``, lowest first; ``0 <= mask < 1 << 16``."""
     return _LOW[mask & 255] + _HIGH[mask >> 8]
-
-
-def face_walks(
-    rotations: tuple[tuple[int, ...], ...],
-) -> tuple[list[list[int]], list[int]]:
-    """Face boundary walks of a rotation system, and the face left of each dart.
-
-    ``rotations[v]`` lists the neighbours of v in cyclic order.  The dart
-    x -> y has index x * p + y, p = len(rotations), and is followed by
-    y -> (successor of x in the rotation at y), so every dart lies on
-    exactly one walk.  Walks start at the first unwalked dart in vertex,
-    then rotation, order.  The one face walker of the package: the census
-    reads the raw walks, ``RotationSystem.faces`` normalises them.
-    """
-    p = len(rotations)
-    succ = [0] * (p * p)
-    for v, r in enumerate(rotations):
-        for u, w in zip(r, r[1:] + r[:1]):
-            succ[v * p + u] = w
-    faces: list[list[int]] = []
-    face_of = [-1] * (p * p)
-    for v, r in enumerate(rotations):
-        for u in r:
-            if face_of[v * p + u] >= 0:
-                continue
-            walk = []
-            x, y = v, u
-            while face_of[x * p + y] < 0:
-                face_of[x * p + y] = len(faces)
-                walk.append(x)
-                x, y = y, succ[y * p + x]
-            faces.append(walk)
-    return faces, face_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,21 +175,6 @@ class Graph:
         return DegreeSequence(
             tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
         )
-
-    def induced_subgraph(self, keep: Iterable[int]) -> Graph:
-        """Subgraph induced on ``keep``; vertices are renumbered 0..k-1 in sorted order."""
-        kept = sorted(set(keep))
-        if not kept:
-            raise ValueError("cannot induce on an empty vertex set")
-        if kept[0] < 0 or kept[-1] >= self.p:
-            raise ValueError(f"vertices out of range: {kept}")
-        index = {v: i for i, v in enumerate(kept)}
-        rows = [0] * len(kept)
-        for v in kept:
-            for u in bits(self.adj[v]):
-                if u in index:
-                    rows[index[v]] |= 1 << index[u]
-        return Graph(len(kept), tuple(rows))
 
     def relabel(self, perm: Iterable[int]) -> Graph:
         """Apply a permutation (old vertex -> new vertex) to the labelling."""

@@ -10,8 +10,9 @@ subdivision that knows nothing about embeddings.
 
 An embedding is a rotation system: the cyclic order of neighbours
 around each vertex.  ``RotationSystem.faces`` takes its walks from
-``graphs.face_walks``, the dart walker the census also uses, and puts
-them in a normal form.
+``face_walks``, the package's one dart walker, and puts them in a
+normal form.  ``dual`` reads the faces as vertex sets, the form the
+census carries with each class instead of a rotation system.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import is_connected
-from .graphs import Graph, bits, face_walks
+from .graphs import Graph, bits
 
 
 class NonPlanarGraphError(ValueError):
@@ -28,6 +29,34 @@ class NonPlanarGraphError(ValueError):
 
 # ---------------------------------------------------------------------------
 # rotation systems
+
+def face_walks(rotations: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Face boundary walks of a rotation system.
+
+    ``rotations[v]`` lists the neighbours of v in cyclic order.  The dart
+    x -> y has index x * p + y, p = len(rotations), and is followed by
+    y -> (successor of x in the rotation at y), so every dart lies on
+    exactly one walk.  Walks start at the first unwalked dart in vertex,
+    then rotation, order.
+    """
+    p = len(rotations)
+    succ = [0] * (p * p)
+    for v, r in enumerate(rotations):
+        for u, w in zip(r, r[1:] + r[:1]):
+            succ[v * p + u] = w
+    walked = [False] * (p * p)
+    faces: list[list[int]] = []
+    for v, r in enumerate(rotations):
+        for u in r:
+            x, y = v, u
+            walk = []
+            while not walked[x * p + y]:
+                walked[x * p + y] = True
+                walk.append(x)
+                x, y = y, succ[y * p + x]
+            if walk:
+                faces.append(walk)
+    return faces
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +91,7 @@ class RotationSystem:
         """
         if self.p == 1:
             return ((0,),)
-        walks = face_walks(self.rotations)[0]
+        walks = face_walks(self.rotations)
         least = (tuple(min(w[i:] + w[:i] for i in range(len(w)))) for w in walks)
         return tuple(sorted(least, key=lambda f: (len(f), f)))
 
@@ -132,11 +161,10 @@ def _find_cycle(vs: list[int], adj: dict[int, int]) -> list[int]:
                 py = [y]
                 while py[-1] != start:
                     py.append(parent[py[-1]])
-                sx, sy = set(px), set(py)
+                sy = set(py)
                 meet = next(v for v in px if v in sy)
                 cx = px[: px.index(meet) + 1]
                 cy = py[: py.index(meet)]
-                del sx, sy
                 return cx + list(reversed(cy))
     raise AssertionError("no cycle in a 2-connected block")
 

@@ -25,12 +25,6 @@ def test_is_connected_against_set_bfs(universe):
         assert pc.is_connected(g) == expected
 
 
-def test_min_degree():
-    assert pc.min_degree(pc.wheel(4)) == 3
-    assert pc.min_degree(pc.path(4)) == 1
-    assert pc.min_degree(pc.empty_graph(3)) == 0
-
-
 def test_3_connected_examples():
     assert pc.is_3_connected(pc.complete(4))
     assert pc.is_3_connected(pc.wheel(6))

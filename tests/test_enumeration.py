@@ -24,19 +24,19 @@ from polycensus import (
     order_bounds,
     planarity,
 )
-from polycensus.duality import _face_graph
+from polycensus.duality import _face_graph, _faces_through
 from polycensus.enumeration import (
     _accepted_deletions,
     _accepted_splits,
-    _census_by_order,
     _deletion_level,
     _embedded_census,
     _embedded_triangulations,
-    _faces_through,
     _keeps_3_connected,
+    _relabelled,
+    _ring,
     _split,
 )
-from polycensus.graphs import face_walks
+from polycensus.graphs import bits
 from tests.oracles import exhaustive_polyhedra
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
@@ -110,7 +110,7 @@ def test_census_row_counts():
         got = {q: len(v) for q, v in _full_census(p).items()}
         assert got == row, f"p={p}"
         # production descends only to the self-dual line q = 2p - 2
-        got = {q: len(v) for q, v in _census_by_order(p).items()}
+        got = {q: len(v) for q, v in _embedded_census(p).items()}
         assert got == {q: n for q, n in row.items() if q >= 2 * p - 2}, f"p={p}"
 
 
@@ -139,72 +139,66 @@ def test_size_totals_against_a002840():
                 assert pc.canonical_graph(g) == g
 
 
-def test_carried_rotations_embed_their_classes():
-    # a wrong relabelling of the carried rotations would otherwise show
-    # only as classes missing from the census
+def _masks(walks):
+    return sorted(sum(1 << x for x in w) for w in walks)
+
+
+def test_carried_faces_are_the_embedded_faces():
+    # a polyhedral graph has one set of faces (Whitney), so the faces
+    # carried with a class must be the vertex sets of the faces of any
+    # embedding; a wrong relabelling would otherwise show only as
+    # classes missing from the census
     for p in range(4, 10):
         for q, classes in _embedded_census(p).items():
-            assert tuple(g for g, _ in classes) == _census_by_order(p)[q]
-            for g, rot in classes:
-                for v in range(p):
-                    assert set(rot[v]) == set(g.neighbors(v)), (p, q, v)
-                rs = pc.RotationSystem(rot)
-                assert len(rs.faces()) == q - p + 2, (p, q)
+            assert tuple(g for g, _ in classes) == enumerate_polyhedra(p, q)
+            for g, faces in classes:
+                assert sorted(faces) == _masks(pc.embed(g).faces()), pc.encode(g)
 
 
-def test_split_rotations_embed_their_triangulations():
+def test_split_faces_are_triangulations():
     # every split of every triangulation through order 8, accepted or
-    # not, must carry a plane triangulation: p on the wrong side of v
-    # would show only as classes missing from the census
+    # not, must carry exactly the 2p - 2 triangles of the split graph:
+    # p on the wrong side of v would show only as classes missing from
+    # the census
     splits = 0
     for p in range(4, 9):
-        for _, rot in _embedded_triangulations(p):
-            for v, r in enumerate(rot):
-                for i, j in combinations(range(len(r)), 2):
-                    faces = pc.RotationSystem(_split(rot, v, i, j)).faces()
-                    assert sorted(map(len, faces)) == [3] * (2 * p - 2), (p, v, i, j)
+        for _, faces in _embedded_triangulations(p):
+            for v in range(p):
+                ring = _ring(faces, v)
+                for i, j in combinations(range(len(ring)), 2):
+                    split = _split(faces, v, ring, i, j)
+                    s = pc.Graph.from_edges(
+                        p + 1, {e for f in split for e in combinations(bits(f), 2)}
+                    )
+                    assert s.q == 3 * p - 3 and len(split) == 2 * p - 2, (p, v, i, j)
+                    assert sorted(split) == _masks(pc.embed(s).faces()), (p, v, i, j)
                     splits += 1
     assert splits == 1328
-    # and the relabelled rotations the classes keep match their rows
-    for p in range(4, 10):
-        for t, rot in _embedded_triangulations(p):
-            faces = pc.RotationSystem(rot).faces()
-            assert sorted(map(len, faces)) == [3] * (2 * p - 4)
-            for v in range(p):
-                assert set(rot[v]) == set(t.neighbors(v)), (p, v)
 
 
-def _moved(rot, perm, rng):
-    """``rot`` relabelled by ``perm``, each rotation started elsewhere."""
-    moved = [()] * len(rot)
-    for v, r in enumerate(rot):
-        k = rng.randrange(len(r))
-        moved[perm[v]] = tuple(perm[u] for u in r[k:] + r[:k])
+def _moved(faces, perm, rng):
+    """``faces`` relabelled by ``perm``, in a shuffled order."""
+    moved = list(_relabelled(faces, perm))
+    rng.shuffle(moved)
     return tuple(moved)
 
 
-def _split_key(split):
-    # the split vertex v and the two ends of its arcs, which are the two
-    # common neighbours of v and the new vertex
-    new = len(split) - 1
-    v = split[new][-1]
-    return v, frozenset(set(split[v]) & set(split[new]))
-
-
 def test_split_acceptance_ignores_labels():
-    # relabelling a parent, and starting its rotations elsewhere, must
-    # carry its accepted splits along
+    # relabelling a parent, and listing its faces in another order, must
+    # carry its accepted splits along; a split is keyed by its last two
+    # faces, the triangles on the new edge vp
     rng = random.Random(9)
     for p in range(5, 9):
-        for t, rot in _embedded_triangulations(p):
+        for t, faces in _embedded_triangulations(p):
             perm = list(range(p))
             rng.shuffle(perm)
             ext = perm + [p]
-            want = set()
-            for split, _ in _accepted_splits(rot):
-                v, ends = _split_key(split)
-                want.add((ext[v], frozenset(ext[u] for u in ends)))
-            got = {_split_key(s) for s, _ in _accepted_splits(_moved(rot, perm, rng))}
+            want = {
+                frozenset(_relabelled(s[-2:], ext)) for s, _ in _accepted_splits(faces)
+            }
+            got = {
+                frozenset(s[-2:]) for s, _ in _accepted_splits(_moved(faces, perm, rng))
+            }
             assert got == want, pc.encode(t)
 
 
@@ -219,7 +213,7 @@ def test_splits_skip_most_canonical_forms(monkeypatch):
 
 
 def test_census_never_embeds():
-    # the census carries every rotation system it uses from K4's
+    # the census carries the faces of every class from K4's triangles
     tree = ast.parse(inspect.getsource(enumeration))
     names = set()
     for node in ast.walk(tree):
@@ -234,28 +228,32 @@ def test_census_never_embeds():
             names.add(node.attr)
     assert not any("planarity" in n for n in names)
     assert "embed" not in names
+    assert not any("face_walks" in n for n in names)
     # and reads 3-connectivity after a deletion off the faces
     assert not any("connectivity" in n for n in names)
 
 
 def test_acceptance_rule_ignores_labels():
-    # relabelling a parent and its rotations must carry its accepted
-    # deletions along; a score that read labels would move them
+    # relabelling a parent and its faces, listed in another order, must
+    # carry its accepted deletions and their merged faces along; a score
+    # that read labels would move them
     rng = random.Random(8)
     for p in range(5, 9):
         for classes in _full_census(p).values():
-            for g, rot in classes:
+            for g, faces in classes:
                 perm = list(range(p))
                 rng.shuffle(perm)
-                moved = [()] * p
-                for v, r in enumerate(rot):
-                    moved[perm[v]] = tuple(perm[u] for u in r)
                 want = {
-                    frozenset((perm[a], perm[b]))
-                    for a, b in _accepted_deletions(g, rot)
+                    (frozenset((perm[a], perm[b])), frozenset(_relabelled(child, perm)))
+                    for a, b, child in _accepted_deletions(g, faces)
                 }
-                got = _accepted_deletions(g.relabel(perm), tuple(moved))
-                assert {frozenset(e) for e in got} == want, pc.encode(g)
+                got = {
+                    (frozenset((a, b)), frozenset(child))
+                    for a, b, child in _accepted_deletions(
+                        g.relabel(perm), _moved(faces, perm, rng)
+                    )
+                }
+                assert got == want, pc.encode(g)
 
 
 def test_acceptance_skips_most_canonical_forms(monkeypatch):
@@ -293,31 +291,31 @@ def test_dual_route_matches_direct_descent():
 def test_deletion_face_criterion_through_order_8():
     # g - ab is 3-connected iff no face of g but the two beside ab meets
     # both of their other vertices; checked on every edge of every class
-    # against the definition
+    # against the definition, with the two faces beside ab read as the
+    # only two that hold both a and b
     deletions = 0
     for p in range(4, 9):
         for classes in _full_census(p).values():
-            for g, rot in classes:
-                faces, face_of = face_walks(rot)
+            for g, faces in classes:
                 on = _faces_through(faces, p)
                 for a, b in g.edges():
-                    left = [x for x in faces[face_of[a * p + b]] if x != a and x != b]
-                    right = [y for y in faces[face_of[b * p + a]] if y != a and y != b]
+                    # exactly two faces, of the at most 12 here
+                    k, m = bits(on[a] & on[b])
+                    ab = 1 << a | 1 << b
                     expected = pc.is_3_connected(g.remove_edge(a, b))
-                    assert _keeps_3_connected(on, left, right) == expected, (
-                        pc.encode(g), a, b,
-                    )
+                    kept = _keeps_3_connected(on, faces[k] & ~ab, faces[m] & ~ab)
+                    assert kept == expected, (pc.encode(g), a, b)
                     deletions += 1
     assert deletions == 4525
 
 
 def test_carried_faces_give_the_dual():
-    # Whitney: the carried embedding yields the same dual class as the
-    # one `dual` computes from a fresh embedding
+    # Whitney: the carried faces yield the same dual class as the ones
+    # `dual` computes from a fresh embedding
     for p in range(4, 9):
         for classes in _embedded_census(p).values():
-            for h, rot in classes:
-                d = _face_graph(h, face_walks(rot)[0])
+            for h, faces in classes:
+                d = _face_graph(h, faces)
                 assert pc.canonical_form(d) == pc.canonical_form(pc.dual(h))
 
 
@@ -335,7 +333,7 @@ def _count(monkeypatch, module, name):
 
 def test_dual_route_neither_embeds_nor_tests(monkeypatch):
     # the 76 classes of (8, 16) are polyhedral by construction and carry
-    # their rotations; dualizing them needs no embedding and no test
+    # their faces; dualizing them needs no embedding and no test
     _embedded_census(8)
     embeds = _count(monkeypatch, planarity, "_embed_block")
     tests = _count(monkeypatch, connectivity, "is_3_connected")
@@ -345,8 +343,8 @@ def test_dual_route_neither_embeds_nor_tests(monkeypatch):
 
 
 def test_each_triangulation_embedded_once(monkeypatch):
-    # with the orders below warm, splitting carries the rotations of its
-    # parent, and the deletion descent reuses them: nothing is embedded
+    # with the orders below warm, splitting carries the faces of its
+    # parent, and the deletion descent merges them: nothing is embedded
     _embedded_triangulations(9)
     embeds = _count(monkeypatch, planarity, "_embed_block")
     for p in range(5, 10):

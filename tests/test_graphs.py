@@ -114,15 +114,6 @@ def test_relabel():
         g.relabel((0, 0, 1, 2))
 
 
-def test_induced_subgraph():
-    g = pc.wheel(5)
-    rim = g.induced_subgraph(range(5))
-    assert rim.q == 5  # the rim cycle survives
-    assert rim.degree_sequence() == DegreeSequence((2, 2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        g.induced_subgraph([])
-
-
 def test_builders():
     assert pc.complete(5).q == 10
     assert pc.cycle(6).q == 6

@@ -30,7 +30,10 @@ two faces, the only two that hold both a and b.
 K4's faces are its four triangles, a split builds its faces from its
 parent's (below), deleting ab merges the two faces beside it and keeps
 the rest, and a new class relabels its faces by its canonical
-labelling.
+labelling.  One search per child gives its certificate, its labelling
+and its automorphisms, and only a child of a new class is relabelled.
+The dual of each class is searched from the class's automorphisms,
+which permute its faces, the dual's vertices.
 
 Most children, of a split or of a deletion, are isomorphic to a child
 of another parent, so a child is canonically labelled only when the
@@ -71,19 +74,34 @@ of s.
 Deletion.  For a polyhedral h let C(h) be the pairs {x, y} that are
 non-adjacent in h and lie on a common face; h + xy is then planar and
 3-connected, so every pair of C(h) leads back to a polyhedral parent.
-The child h = g - ab is accepted iff f(a, b) is the maximum of f over
-C(h); it is rejected outright when a or b has degree 3 in g, since h
-then has a vertex of degree 2.
+Ties in f are settled by a second invariant, the tie key t(x, y): the
+unordered pair of the sorted lists of the degrees of the neighbours of
+x and of y in h, the greater list first, compared lexicographically.
+The child h = g - ab is accepted iff (f, t)(a, b) is the maximum of
+(f, t) over C(h), lexicographically; t is read only when some other
+pair of C(h) ties with ab on f.  The child is rejected outright when a
+or b has degree 3 in g, since h then has a vertex of degree 2.
 
 * Sound: accepted children pass the face test, so nothing that is not
   polyhedral gets in.
 * Complete: let H be a class with q edges and xy a pair of C(H) with
-  the largest score.  H + xy is polyhedral with q + 1 edges, so by
+  the largest (f, t).  H + xy is polyhedral with q + 1 edges, so by
   induction it is isomorphic to some parent g of the level above, and
   the isomorphism takes xy to an edge ab of g with g - ab isomorphic to
-  H.  The faces of a polyhedral graph, and with them C and f, are
-  invariant under isomorphism (Whitney): f(a, b) is the maximum over
-  C(g - ab), and H is found.
+  H.  The faces of a polyhedral graph, and with them C, f and t, are
+  invariant under isomorphism (Whitney): (f, t)(a, b) is the maximum
+  over C(g - ab), and H is found.
+
+One step per orbit.  Each class carries automorphisms, those its
+canonical search kept, in its canonical labels.  Splits are made at one
+vertex of each orbit of the group they generate, and deletions of one
+edge of each orbit of edges.  An automorphism maps the splits at v onto
+those at its image and g - ab onto g minus the image of ab, so steps in
+one orbit give isomorphic children; both rules read invariants only,
+so they accept all of them or none.  Dropping all but one loses no
+class.  Only that each carried permutation is an automorphism matters:
+a subgroup of Aut(g) has smaller orbits, which skips fewer repeats but
+keeps the proofs above as they stand.
 
 Face test.  Let ab lie between the faces F1 and F2 of the polyhedral g.
 Then g - ab is 3-connected iff no face of g other than F1 and F2 holds
@@ -99,7 +117,8 @@ is one bitmask of faces per vertex, ORed over each side.
 
 For both rules, classes are keyed by certificate and stored as their
 canonical graphs, so the output does not depend on which child reached
-a class first.
+a class first.  The automorphisms a class carries do, but they decide
+only which repeats are skipped.
 
 The deletion check is cheap because deletion only lowers degrees: the
 faces of g are read once per parent, and its pairs C(g) are sorted by
@@ -107,7 +126,8 @@ score in g.  Deleting ab merges the two faces on either side of ab and
 leaves every other face as it was, so C(g - ab) is C(g), the pair
 {a, b} and the pairs across the two merged faces.  Only pairs that
 touch a or b score lower in the child, so the scan of C(g) stops at the
-first pair whose score in g is no higher than f(a, b).
+first pair whose score in g is lower than f(a, b), and the pairs it
+passes that score f(a, b) in the child are the ties.
 
 The tests check this census against a direct filtration of all graphs
 of the right order and size, which shares no generation machinery.
@@ -121,17 +141,14 @@ from typing import TypeVar
 
 from .duality import _face_graph, _faces_through
 from .graphs import DegreeSequence, Graph, bits, complete
-from .isomorphism import (
-    CanonicalForm,
-    canonical_form,
-    canonical_graph,
-    canonical_labeling,
-)
+from .isomorphism import CanonicalForm, _labelled_search, canonical_form
 
 MAX_ENUM_ORDER = 9
 
 _Faces = tuple[int, ...]  # one vertex bitmask per face
-_Classes = tuple[tuple[Graph, _Faces], ...]  # (class, its faces)
+_Gens = tuple[tuple[int, ...], ...]  # automorphisms (v -> image)
+_Class = tuple[Graph, _Faces, _Gens]  # a class, its faces, some automorphisms
+_Classes = tuple[_Class, ...]
 _T = TypeVar("_T")
 
 
@@ -158,6 +175,29 @@ def _score(dx: int, dy: int) -> int:
 def _relabelled(faces: _Faces, perm: tuple[int, ...]) -> _Faces:
     """Faces relabelled by ``perm`` (old vertex -> new)."""
     return tuple(sum(1 << perm[x] for x in bits(f)) for f in faces)
+
+
+def _orbit(mask: int, gens: _Gens) -> set[int]:
+    """The images of the vertex set ``mask`` under the group that the
+    automorphisms ``gens`` generate."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            image = sum(1 << g[x] for x in bits(m))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _keep(found: dict[CanonicalForm, _Class], h: Graph, faces: _Faces) -> None:
+    """File the child ``h`` with ``faces`` under its certificate, relabelled
+    canonically, with its automorphisms, unless its class is in ``found``."""
+    cf, label, gens = _labelled_search(h)
+    if cf not in found:
+        found[cf] = (h.relabel(label), _relabelled(faces, label), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +252,16 @@ def _best_contractible(adj: list[int], x: int, y: int) -> bool:
     return True
 
 
-def _accepted_splits(faces: _Faces):
+def _accepted_splits(faces: _Faces, gens: _Gens = ()):
     """(faces, adjacency rows) of the splits of the triangulation with
-    ``faces`` whose new edge is a best contractible edge."""
+    ``faces`` whose new edge is a best contractible edge, at one vertex
+    of each orbit of its automorphisms ``gens``."""
     p = len(faces) // 2 + 2
+    seen: set[int] = set()
     for v in range(p):
+        if 1 << v in seen:
+            continue
+        seen |= _orbit(1 << v, gens)
         ring = _ring(faces, v)
         for i, j in combinations(range(len(ring)), 2):
             split = _split(faces, v, ring, i, j)
@@ -235,46 +280,76 @@ def _embedded_triangulations(p: int) -> _Classes:
     if not 4 <= p <= MAX_ENUM_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ENUM_ORDER}")
     if p == 4:
-        # K4 is its own canonical graph; its faces are its four triangles
-        return ((canonical_graph(complete(4)), tuple(15 ^ 1 << v for v in range(4))),)
-    found: dict[CanonicalForm, tuple[Graph, _Faces]] = {}
-    for _, faces in _embedded_triangulations(p - 1):
-        for split, adj in _accepted_splits(faces):
-            s = Graph._derived(p, tuple(adj))
-            cf = canonical_form(s)
-            if cf not in found:
-                perm = canonical_labeling(s)
-                found[cf] = (canonical_graph(s), _relabelled(split, perm))
+        # K4 is its own canonical graph; its faces are its four triangles,
+        # and it carries no automorphisms, which skips no repeat
+        return ((complete(4), tuple(15 ^ 1 << v for v in range(4)), ()),)
+    found: dict[CanonicalForm, _Class] = {}
+    for _, faces, gens in _embedded_triangulations(p - 1):
+        for split, adj in _accepted_splits(faces, gens):
+            _keep(found, Graph._derived(p, tuple(adj)), split)
     return _sorted_classes(found)
 
 
 @cache
 def triangulations(p: int) -> tuple[Graph, ...]:
     """All maximal planar graphs on p vertices, canonical, sorted."""
-    return tuple(t for t, _ in _embedded_triangulations(p))
+    return tuple(t for t, _, _ in _embedded_triangulations(p))
 
 
 # ---------------------------------------------------------------------------
 # full census per order, by edge deletion
 
 def _outscored(
-    pairs: list[tuple[int, int, int]], deg: list[int], a: int, b: int, best: int
+    pairs: list[tuple[int, int, int]],
+    deg: list[int],
+    a: int,
+    b: int,
+    best: int,
+    ties: list[tuple[int, int]],
 ) -> bool:
-    """Whether a pair of C(g), scored in g - ab, beats ``best``.
+    """Whether a pair of C(g), scored in g - ab, beats ``best``; the
+    pairs that score ``best`` in g - ab are appended to ``ties``.
 
     ``pairs`` holds (score in g, x, y), highest first; a score only
     falls on deletion, and only for pairs that touch a or b.
     """
     for s, x, y in pairs:
-        if s <= best:
+        if s < best:
             return False
-        if x != a and x != b and y != a and y != b:
+        if x == a or x == b or y == a or y == b:
+            s = _score(deg[x] - (x == a or x == b), deg[y] - (y == a or y == b))
+        if s > best:
             return True
-        dx = deg[x] - (x == a or x == b)
-        dy = deg[y] - (y == a or y == b)
-        if _score(dx, dy) > best:
-            return True
+        if s == best:
+            ties.append((x, y))
     return False
+
+
+def _wins_ties(
+    adj: tuple[int, ...], deg: list[int], a: int, b: int, ties: list[tuple[int, int]]
+) -> bool:
+    """Whether ab has the greatest tie key among ``ties``, the pairs of
+    C(g - ab) other than ab that score as well as it does.
+
+    The tie key of a pair {x, y} is the unordered pair of the sorted
+    degree lists of the neighbours of x and of y, read in g - ab.
+    """
+    lost = 1 << a | 1 << b
+    dh = deg[:]
+    dh[a] -= 1
+    dh[b] -= 1
+    lists: dict[int, list[int]] = {}
+
+    def key(x: int, y: int) -> tuple[list[int], list[int]]:
+        for z in (x, y):
+            if z not in lists:
+                row = adj[z] & ~lost if z == a or z == b else adj[z]
+                lists[z] = sorted(dh[u] for u in bits(row))
+        lx, ly = lists[x], lists[y]
+        return (lx, ly) if lx >= ly else (ly, lx)
+
+    mine = key(a, b)
+    return all(key(x, y) <= mine for x, y in ties)
 
 
 def _keeps_3_connected(on: list[int], left: int, right: int) -> bool:
@@ -292,7 +367,8 @@ def _keeps_3_connected(on: list[int], left: int, right: int) -> bool:
 def _accepted_deletions(g: Graph, faces: _Faces):
     """(a, b, faces of g - ab) for the edges ab of g, a and b of degree
     at least 4, such that g - ab is 3-connected and ab scores best among
-    the pairs C(g - ab); ``faces`` are those of the polyhedral g."""
+    the pairs C(g - ab), with the greatest tie key among those that
+    score as well; ``faces`` are those of the polyhedral g."""
     adj = g.adj
     deg = [row.bit_count() for row in adj]
     on = _faces_through(faces, g.p)
@@ -311,7 +387,8 @@ def _accepted_deletions(g: Graph, faces: _Faces):
         if deg[a] < 4 or deg[b] < 4:
             continue
         best = _score(deg[a] - 1, deg[b] - 1)
-        if _outscored(pairs, deg, a, b, best):
+        ties: list[tuple[int, int]] = []
+        if _outscored(pairs, deg, a, b, best, ties):
             continue
         # the faces either side of ab are the only two that hold both a
         # and b, since faces are induced cycles; they merge, and share
@@ -320,26 +397,37 @@ def _accepted_deletions(g: Graph, faces: _Faces):
         k, m = (both & -both).bit_length() - 1, both.bit_length() - 1
         ab = 1 << a | 1 << b
         left, right = faces[k] & ~ab, faces[m] & ~ab
-        if _keeps_3_connected(on, left, right) and not any(
-            not adj[x] >> y & 1 and _score(deg[x], deg[y]) > best
+        if not _keeps_3_connected(on, left, right):
+            continue
+        # the pairs across the merged face, which touch neither a nor b
+        across = [
+            (_score(deg[x], deg[y]), x, y)
             for x in bits(left)
             for y in bits(right)
-        ):
-            merged = faces[k] | faces[m]
-            yield a, b, faces[:k] + (merged,) + faces[k + 1 : m] + faces[m + 1 :]
+            if not adj[x] >> y & 1
+        ]
+        if any(s > best for s, _, _ in across):
+            continue
+        ties += [(x, y) for s, x, y in across if s == best]
+        if ties and not _wins_ties(adj, deg, a, b, ties):
+            continue
+        merged = faces[k] | faces[m]
+        yield a, b, faces[:k] + (merged,) + faces[k + 1 : m] + faces[m + 1 :]
 
 
 def _deletion_level(parents: _Classes) -> _Classes:
     """(class, its faces) for every polyhedral graph one edge below the
     cell whose classes are ``parents``, canonical and sorted."""
-    found: dict[CanonicalForm, tuple[Graph, _Faces]] = {}
-    for g, faces in parents:
+    found: dict[CanonicalForm, _Class] = {}
+    for g, faces, gens in parents:
+        # the deletions of edges in one orbit of automorphisms give one
+        # class, and the rule accepts all of them or none
+        seen: set[int] = set()
         for a, b, merged in _accepted_deletions(g, faces):
-            h = g.remove_edge(a, b)
-            cf = canonical_form(h)
-            if cf not in found:
-                perm = canonical_labeling(h)
-                found[cf] = (canonical_graph(h), _relabelled(merged, perm))
+            ab = 1 << a | 1 << b
+            if ab not in seen:
+                seen |= _orbit(ab, gens)
+                _keep(found, g.remove_edge(a, b), merged)
     return _sorted_classes(found)
 
 
@@ -354,16 +442,24 @@ def _embedded_census(p: int) -> dict[int, _Classes]:
     return out
 
 
+def _dual_seeds(faces: _Faces, gens: _Gens) -> _Gens:
+    """The automorphisms ``gens`` of a polyhedral graph as permutations of
+    its ``faces``, the vertices of its dual; automorphisms of a polyhedral
+    graph permute its faces (Whitney)."""
+    index = {f: k for k, f in enumerate(faces)}
+    return tuple(tuple(index[f] for f in _relabelled(faces, g)) for g in gens)
+
+
 @cache
 def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...]:
     """(class, its dual's certificate, its dual's canonical graph) for
     every class of the cell (r, q) of the direct descent, the dual read
     off the carried faces."""
     out = []
-    for h, faces in _embedded_census(r)[q]:
+    for h, faces, gens in _embedded_census(r)[q]:
         d = _face_graph(h, faces)
-        # both calls share one cached canonical labelling of d
-        out.append((h, canonical_form(d), canonical_graph(d)))
+        cf, label, _ = _labelled_search(d, _dual_seeds(faces, gens))
+        out.append((h, cf, d.relabel(label)))
     return tuple(out)
 
 
@@ -382,7 +478,7 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
         )
     if r < p:
         return _sorted_classes({c: d for _, c, d in _dual_pairs(r, q)})
-    return tuple(g for g, _ in _embedded_census(p)[q])
+    return tuple(g for g, _, _ in _embedded_census(p)[q])
 
 
 def _dual_certificates(p: int, q: int) -> dict[Graph, CanonicalForm]:

@@ -41,10 +41,20 @@ exact leaf.  Four rules cut the work and keep that leaf:
 
 The first leaf is packed only when a second leaf needs comparing with
 it; most planar inputs refine to a single leaf.
+
+A search may start from automorphisms given by its caller, which the
+pruning treats as if found at ties.  That keeps the first least leaf:
+the pruning argument asks only that an automorphism fixing the path
+maps an earlier sibling's subtree onto w's, leaf for leaf with equal
+bits, and holds for any automorphism, wherever it came from.  A given
+one never moves the search back up the tree, which only a tie's path
+does, so it prunes siblings and nothing else.  The census seeds the
+search of each dual with its primal's automorphisms, carried to faces.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,11 +133,16 @@ def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
     return out
 
 
-def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Labelling (vertex -> position) minimizing the packed adjacency bits."""
+def _search(
+    p: int, adj: tuple[int, ...], seeds: Iterable[tuple[int, ...]] = ()
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Labelling (vertex -> position) minimizing the packed adjacency
+    bits, and the automorphisms (v -> image) the search kept: the
+    ``seeds``, which must be automorphisms, and those found at ties."""
+    autos = [list(g) for g in seeds]
     q2 = sum(row.bit_count() for row in adj)
     if q2 == 0 or q2 == p * (p - 1):
-        return tuple(range(p))  # empty or complete: every labelling ties
+        return tuple(range(p)), autos  # empty or complete: every labelling ties
 
     # built per search, not cached: a cache would keep one list per graph
     nbrs = [bits(row) for row in adj]
@@ -135,7 +150,6 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     best_label: tuple[int, ...] = ()
     best_path: list[int] = []
     path: list[int] = []  # vertices individualised on the way to this node
-    autos: list[list[int]] = []  # automorphisms (v -> image) found at ties
     onward = p  # returned when the search goes on from the caller
 
     def leaf(colors: list[int]) -> int:
@@ -208,13 +222,40 @@ def _search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     deg = [row.bit_count() for row in adj]
     rank = {d: i for i, d in enumerate(sorted(set(deg)))}
     node(*_refine(nbrs, [rank[d] for d in deg], len(rank)))
-    return best_label
+    return best_label, autos
+
+
+def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
+    p = g.p
+    packed = _pack_bits(p, g.adj, list(label))
+    nbits = p * (p - 1) // 2
+    body = packed.to_bytes((nbits + 7) // 8, "big") if nbits else b""
+    return CanonicalForm(bytes([p]) + g.q.to_bytes(2, "big") + body)
+
+
+def _labelled_search(
+    g: Graph, seeds: Iterable[tuple[int, ...]] = ()
+) -> tuple[CanonicalForm, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Certificate, canonical labelling and kept automorphisms of ``g``
+    from one uncached search, started from the automorphisms ``seeds``.
+
+    The automorphisms are returned in canonical labels: sigma on g
+    becomes tau on the canonical graph, tau[label[v]] = label[sigma[v]].
+    """
+    label, autos = _search(g.p, g.adj, seeds)
+    gens = []
+    for sigma in autos:
+        tau = [0] * g.p
+        for v, c in enumerate(label):
+            tau[c] = label[sigma[v]]
+        gens.append(tuple(tau))
+    return _certificate(g, label), label, tuple(gens)
 
 
 @lru_cache(maxsize=1 << 17)
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation (old vertex -> canonical position) realizing the certificate."""
-    return _search(g.p, g.adj)
+    return _search(g.p, g.adj)[0]
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -222,11 +263,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    p = g.p
-    packed = _pack_bits(p, g.adj, list(canonical_labeling(g)))
-    nbits = p * (p - 1) // 2
-    body = packed.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    return CanonicalForm(bytes([p]) + g.q.to_bytes(2, "big") + body)
+    return _certificate(g, canonical_labeling(g))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

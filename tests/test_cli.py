@@ -2,8 +2,12 @@
 the README's library example, and the names the package exports."""
 
 import doctest
+import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +106,38 @@ def test_classify_no_prune(capsys):
     code, out, _ = run(capsys, "classify", "--no-prune")
     assert code == 0
     assert "agree on the solution certificates" in out
+
+
+# sha256 of the `classify --no-prune --report` file
+REPORT_SHA256 = "080f70799fd20584f4b8fb448c9cb117747b7b7ef107f8b2d8f4a1d13b0ef6fe"
+
+
+def test_output_bytes_ignore_the_hash_seed(tmp_path):
+    # census order and certificates must not depend on set or dict order
+    # of hashed objects: cold processes under three hash seeds
+    src = str(Path(pc.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        report = tmp_path / f"report{seed}.json"
+        runs = [
+            ["enumerate", "--q", "14", "--format", "json"],
+            ["classify", "--no-prune", "--report", str(report)],
+        ]
+        out = tuple(
+            subprocess.run(
+                [sys.executable, "-m", "polycensus.cli", *argv],
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for argv in runs
+        )
+        outputs.add(out + (report.read_bytes(),))
+    assert len(outputs) == 1
+    assert hashlib.sha256(outputs.pop()[2]).hexdigest() == REPORT_SHA256
 
 
 def test_complement_pipeline(capsys, monkeypatch):

@@ -29,6 +29,8 @@ from polycensus.enumeration import (
     _accepted_deletions,
     _accepted_splits,
     _deletion_level,
+    _dual_pairs,
+    _dual_seeds,
     _embedded_census,
     _embedded_triangulations,
     _keeps_3_connected,
@@ -37,6 +39,7 @@ from polycensus.enumeration import (
     _split,
 )
 from polycensus.graphs import bits
+from polycensus.isomorphism import _search, canonical_labeling
 from tests.oracles import exhaustive_polyhedra
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
@@ -150,8 +153,8 @@ def test_carried_faces_are_the_embedded_faces():
     # classes missing from the census
     for p in range(4, 10):
         for q, classes in _embedded_census(p).items():
-            assert tuple(g for g, _ in classes) == enumerate_polyhedra(p, q)
-            for g, faces in classes:
+            assert tuple(g for g, _, _ in classes) == enumerate_polyhedra(p, q)
+            for g, faces, _ in classes:
                 assert sorted(faces) == _masks(pc.embed(g).faces()), pc.encode(g)
 
 
@@ -162,7 +165,7 @@ def test_split_faces_are_triangulations():
     # the census
     splits = 0
     for p in range(4, 9):
-        for _, faces in _embedded_triangulations(p):
+        for _, faces, _ in _embedded_triangulations(p):
             for v in range(p):
                 ring = _ring(faces, v)
                 for i, j in combinations(range(len(ring)), 2):
@@ -189,7 +192,7 @@ def test_split_acceptance_ignores_labels():
     # faces, the triangles on the new edge vp
     rng = random.Random(9)
     for p in range(5, 9):
-        for t, faces in _embedded_triangulations(p):
+        for t, faces, _ in _embedded_triangulations(p):
             perm = list(range(p))
             rng.shuffle(perm)
             ext = perm + [p]
@@ -203,13 +206,14 @@ def test_split_acceptance_ignores_labels():
 
 
 def test_splits_skip_most_canonical_forms(monkeypatch):
-    # the 14 order-8 triangulations have 956 splits; only the 140 whose
-    # new edge is a best contractible edge are canonically labelled
-    _embedded_triangulations(8)
-    forms = _count(monkeypatch, enumeration, "canonical_form")
+    # the 14 order-8 triangulations have 956 splits; only the 90 at one
+    # vertex per automorphism orbit whose new edge is a best contractible
+    # edge are canonically labelled
+    _embedded_triangulations(9)  # cached with order 8; not counted
+    forms = _count(monkeypatch, enumeration, "_labelled_search")
     embeds = _count(monkeypatch, planarity, "_embed_block")
     assert _embedded_triangulations.__wrapped__(9) == _embedded_triangulations(9)
-    assert (len(forms), len(embeds)) == (140, 0)
+    assert (len(forms), len(embeds)) == (90, 0)
 
 
 def test_census_never_embeds():
@@ -240,7 +244,7 @@ def test_acceptance_rule_ignores_labels():
     rng = random.Random(8)
     for p in range(5, 9):
         for classes in _full_census(p).values():
-            for g, faces in classes:
+            for g, faces, _ in classes:
                 perm = list(range(p))
                 rng.shuffle(perm)
                 want = {
@@ -258,21 +262,57 @@ def test_acceptance_rule_ignores_labels():
 
 def test_acceptance_skips_most_canonical_forms(monkeypatch):
     # 1,355 deletions from the order-8 classes down to the self-dual line
-    # are 3-connected; without the acceptance rule each of them was
-    # canonically labelled
+    # are 3-connected; without the acceptance rule, its tie key and one
+    # deletion per edge orbit, each of them would be searched
     enumeration.triangulations(8)  # cached; its labels are not counted
-    calls = []
-    form = enumeration.canonical_form
-
-    def counting(g):
-        calls.append(g)
-        return form(g)
-
-    monkeypatch.setattr(enumeration, "canonical_form", counting)
+    calls = _count(monkeypatch, enumeration, "_labelled_search")
     # the undecorated function runs a fresh census and leaves the caches be
     census = _embedded_census.__wrapped__(8)
-    assert len(calls) == 365
+    assert len(calls) == 257
     assert {q: len(v) for q, v in _descended(census, 8).items()} == CENSUS_ROWS[8]
+
+
+def test_carried_generators_are_automorphisms():
+    # orbit pruning is sound only if every carried permutation maps its
+    # canonical graph, and so its faces, onto itself
+    generators = 0
+    for p in range(4, 10):
+        for classes in _embedded_census(p).values():
+            for g, faces, gens in classes:
+                for gen in gens:
+                    assert g.relabel(gen) == g, (pc.encode(g), gen)
+                    assert sorted(_relabelled(faces, gen)) == sorted(faces)
+                    generators += 1
+    assert generators == 708  # not vacuous
+
+
+def test_dual_seeds_are_automorphisms_and_keep_the_labelling():
+    # a class's automorphisms, carried to its faces, must be automorphisms
+    # of its dual, and a search started from them must return the
+    # labelling of the unseeded search, on every dual through order 9
+    seeded = 0
+    for p in range(4, 10):
+        for classes in _embedded_census(p).values():
+            for h, faces, gens in classes:
+                d = _face_graph(h, faces)
+                seeds = _dual_seeds(faces, gens)
+                for seed in seeds:
+                    assert d.relabel(seed) == d, (pc.encode(h), seed)
+                label, _ = _search(d.p, d.adj, seeds)
+                assert label == canonical_labeling(d), pc.encode(h)
+                seeded += bool(seeds)
+    assert seeded == 603  # not vacuous
+
+
+def test_census_leaves_the_labelling_cache_alone():
+    # the census searches each child once and keeps nothing in the
+    # cache that serves the catalog and the CLI
+    census = _embedded_census(8)
+    before = canonical_labeling.cache_info()
+    assert _embedded_census.__wrapped__(8) == census
+    for q in census:
+        assert _dual_pairs.__wrapped__(8, q) == _dual_pairs(8, q)
+    assert canonical_labeling.cache_info() == before
 
 
 def test_dual_route_matches_direct_descent():
@@ -283,7 +323,7 @@ def test_dual_route_matches_direct_descent():
     for p in range(4, 10):
         for q, direct in _full_census(p).items():
             if q - p + 2 < p:
-                assert enumerate_polyhedra(p, q) == tuple(g for g, _ in direct), (p, q)
+                assert enumerate_polyhedra(p, q) == tuple(g for g, _, _ in direct), (p, q)
                 cells += 1
     assert cells == 6
 
@@ -296,7 +336,7 @@ def test_deletion_face_criterion_through_order_8():
     deletions = 0
     for p in range(4, 9):
         for classes in _full_census(p).values():
-            for g, faces in classes:
+            for g, faces, _ in classes:
                 on = _faces_through(faces, p)
                 for a, b in g.edges():
                     # exactly two faces, of the at most 12 here
@@ -314,7 +354,7 @@ def test_carried_faces_give_the_dual():
     # `dual` computes from a fresh embedding
     for p in range(4, 9):
         for classes in _embedded_census(p).values():
-            for h, faces in classes:
+            for h, faces, _ in classes:
                 d = _face_graph(h, faces)
                 assert pc.canonical_form(d) == pc.canonical_form(pc.dual(h))
 

@@ -63,7 +63,7 @@ from .isomorphism import (
     canonical_labeling,
     is_self_complementary,
 )
-from .planarity import NonPlanarGraphError, RotationSystem, embed, is_planar
+from .planarity import NonPlanarGraphError, embed, is_planar
 
 __version__ = "0.1.0"
 
@@ -121,7 +121,6 @@ __all__ = [
     "canonical_labeling",
     "is_self_complementary",
     "NonPlanarGraphError",
-    "RotationSystem",
     "embed",
     "is_planar",
 ]

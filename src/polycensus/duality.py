@@ -8,7 +8,7 @@ p* = q - p + 2 vertices and q* = q edges.
 ``_face_graph`` builds a dual from the faces of a polyhedral graph,
 each the bitmask of its vertices; the two faces either side of an edge
 are the only two that hold both its ends.  ``dual`` embeds its input
-and passes the vertex sets of ``RotationSystem.faces()``, and the
+and passes the vertex sets of the faces ``embed`` returns, and the
 census passes the faces it carries with each class.
 """
 
@@ -39,14 +39,14 @@ def dual(g: Graph) -> Graph:
     """Planar dual: one vertex per face, edges between facing faces.
 
     Deterministic for a given labelled input (faces are numbered in the
-    sorted order of ``RotationSystem.faces``), but only the isomorphism
+    sorted order ``embed`` returns them in), but only the isomorphism
     class is meaningful.  Checks 3-connectivity, then embeds once: the
     embedding is the planarity test.
     """
     if not (g.p >= 4 and is_3_connected(g)):
         raise _not_polyhedral(g)
     try:
-        faces = embed(g).faces()
+        faces = embed(g)
     except NonPlanarGraphError:
         raise _not_polyhedral(g) from None
     return _face_graph(g, [sum(1 << x for x in f) for f in faces])

@@ -2,98 +2,22 @@
 
 ``is_planar`` / ``embed`` build an explicit embedding face by face
 (insert one fragment path at a time, always handling a fragment with
-the fewest admissible faces first, per block of the graph).  Both run
-the same single pass over the blocks, so ``dual``, which checks
-3-connectivity and then calls ``embed``, embeds its input once.  The
-tests check planarity against a direct search for a K5 or K3,3
-subdivision that knows nothing about embeddings.
-
-An embedding is a rotation system: the cyclic order of neighbours
-around each vertex.  ``RotationSystem.faces`` takes its walks from
-``face_walks``, the package's one dart walker, and puts them in a
-normal form.  ``dual`` reads the faces as vertex sets, the form the
-census carries with each class instead of a rotation system.
+the fewest admissible faces first, per block of the graph).  ``embed``
+returns the faces of a 2-connected graph, each a vertex walk in a
+normal form; ``dual``, which checks 3-connectivity and then calls
+``embed``, embeds its input once and reads the faces as vertex sets,
+the form the census carries with each class.  The tests check
+planarity against a direct search for a K5 or K3,3 subdivision that
+knows nothing about embeddings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .connectivity import is_connected
 from .graphs import Graph, bits
 
 
 class NonPlanarGraphError(ValueError):
     """Raised when an embedding is requested for a non-planar graph."""
-
-
-# ---------------------------------------------------------------------------
-# rotation systems
-
-def face_walks(rotations: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Face boundary walks of a rotation system.
-
-    ``rotations[v]`` lists the neighbours of v in cyclic order.  The dart
-    x -> y has index x * p + y, p = len(rotations), and is followed by
-    y -> (successor of x in the rotation at y), so every dart lies on
-    exactly one walk.  Walks start at the first unwalked dart in vertex,
-    then rotation, order.
-    """
-    p = len(rotations)
-    succ = [0] * (p * p)
-    for v, r in enumerate(rotations):
-        for u, w in zip(r, r[1:] + r[:1]):
-            succ[v * p + u] = w
-    walked = [False] * (p * p)
-    faces: list[list[int]] = []
-    for v, r in enumerate(rotations):
-        for u in r:
-            x, y = v, u
-            walk = []
-            while not walked[x * p + y]:
-                walked[x * p + y] = True
-                walk.append(x)
-                x, y = y, succ[y * p + x]
-            if walk:
-                faces.append(walk)
-    return faces
-
-
-@dataclass(frozen=True, slots=True)
-class RotationSystem:
-    """Cyclic neighbour order at every vertex of a planar embedding."""
-
-    rotations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        p = len(self.rotations)
-        for v, rot in enumerate(self.rotations):
-            if len(set(rot)) != len(rot):
-                raise ValueError(f"repeated neighbour in rotation at {v}")
-            for u in rot:
-                if not 0 <= u < p or u == v:
-                    raise ValueError(f"bad neighbour {u} in rotation at {v}")
-                if v not in self.rotations[u]:
-                    raise ValueError(f"rotation not symmetric on edge {v},{u}")
-
-    @property
-    def p(self) -> int:
-        return len(self.rotations)
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Face boundary walks, each from its least cyclic shift, sorted
-        by length, then content: equal embeddings give equal faces, and
-        ``dual`` numbers its vertices in this order.  Vertices repeat in
-        a walk through a cut vertex; the one-vertex graph has one face.
-        """
-        if self.p == 1:
-            return ((0,),)
-        walks = face_walks(self.rotations)
-        least = (tuple(min(w[i:] + w[:i] for i in range(len(w)))) for w in walks)
-        return tuple(sorted(least, key=lambda f: (len(f), f)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +155,8 @@ def _fragment_path(
     raise AssertionError("fragment with one attachment in a 2-connected block")
 
 
-def _embed_block(vs: list[int], adj: dict[int, int]) -> dict[int, tuple[int, ...]]:
-    """Rotation (per vertex) of one block; raises NonPlanarGraphError."""
-    if len(vs) == 2:
-        a, b = vs
-        return {a: (b,), b: (a,)}
-
+def _embed_block(vs: list[int], adj: dict[int, int]) -> list[tuple[int, ...]]:
+    """Face walks of one 2-connected block; raises NonPlanarGraphError."""
     cycle = _find_cycle(vs, adj)
     emb = {v: 0 for v in vs}
     placed = set(cycle)
@@ -276,30 +196,20 @@ def _embed_block(vs: list[int], adj: dict[int, int]) -> dict[int, tuple[int, ...
             done += 1
         placed.update(inner)
 
+    # each dart on one face glues the faces into a closed surface, and
+    # Euler characteristic 2 makes it the sphere
+    darts = {(f[k - 1], f[k]) for f in faces for k in range(len(f))}
+    assert sum(map(len, faces)) == len(darts) == 2 * total
     assert len(faces) == total - len(vs) + 2
-
-    succ: dict[int, dict[int, int]] = {v: {} for v in vs}
-    for face in faces:
-        m = len(face)
-        for k in range(m):
-            succ[face[(k + 1) % m]][face[k]] = face[(k + 2) % m]
-    rot: dict[int, tuple[int, ...]] = {}
-    for v in vs:
-        nbrs = sorted(bits(adj[v]))
-        seq = [nbrs[0]]
-        cur = succ[v][nbrs[0]]
-        while cur != nbrs[0]:
-            seq.append(cur)
-            cur = succ[v][cur]
-        if len(seq) != len(nbrs):
-            raise NonPlanarGraphError("face walks split a rotation")
-        rot[v] = tuple(seq)
-    return rot
+    return faces
 
 
 def _block_pieces(g: Graph) -> list[tuple[list[int], dict[int, int]]]:
+    """Blocks on three or more vertices; bridges are planar and left out."""
     pieces = []
     for edges in sorted(_blocks(g), key=lambda es: sorted(es)):
+        if len(edges) == 1:
+            continue
         vs = sorted({v for e in edges for v in e})
         adj = {v: 0 for v in vs}
         for a, b in edges:
@@ -309,48 +219,43 @@ def _block_pieces(g: Graph) -> list[tuple[list[int], dict[int, int]]]:
     return pieces
 
 
-def _rotations(g: Graph, need_rotations: bool) -> list[list[int]] | None:
-    """Rotation lists of a planar embedding, embedding each block once.
-
-    The one pass behind ``is_planar``, ``embed`` and so ``dual``.  Raises
-    NonPlanarGraphError on non-planar input.  More than 3p - 6 edges is
-    impossible for a planar simple graph on p >= 3 vertices.  Any graph
-    on at most 4 vertices or at most 8 edges is planar (a K5 subdivision
-    needs 10 edges, a K3,3 subdivision 9), so when ``need_rotations`` is
-    false such a graph returns None without being embedded.
-    """
-    if g.p >= 3 and g.q > 3 * g.p - 6:
-        raise NonPlanarGraphError("more than 3p - 6 edges")
-    if not need_rotations and (g.p <= 4 or g.q <= 8):
-        return None
-    merged: list[list[int]] = [[] for _ in range(g.p)]
-    for vs, adj in _block_pieces(g):
-        rot = _embed_block(vs, adj)
-        for v in vs:
-            merged[v].extend(rot[v])
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
 def is_planar(g: Graph) -> bool:
-    """Embedding-based planarity test."""
+    """Embedding-based planarity test, embedding each block once.
+
+    More than 3p - 6 edges is impossible for a planar simple graph on
+    p >= 3 vertices.  Any graph on at most 4 vertices or at most 8 edges
+    is planar (a K5 subdivision needs 10 edges, a K3,3 subdivision 9),
+    so such a graph is not embedded.
+    """
+    if g.p >= 3 and g.q > 3 * g.p - 6:
+        return False
+    if g.p <= 4 or g.q <= 8:
+        return True
     try:
-        _rotations(g, need_rotations=False)
+        for vs, adj in _block_pieces(g):
+            _embed_block(vs, adj)
     except NonPlanarGraphError:
         return False
     return True
 
 
-def embed(g: Graph) -> RotationSystem:
-    """A planar rotation system for a connected graph.
+def embed(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The faces of a planar embedding of a 2-connected graph.
 
-    Raises ValueError on disconnected input and NonPlanarGraphError on
-    non-planar input.  Deterministic: equal graphs embed identically.
+    Each face is a vertex walk from its least cyclic shift, and the
+    faces are sorted by length, then content: ``dual`` numbers its
+    vertices in this order.  Raises ValueError unless ``g`` is
+    2-connected and NonPlanarGraphError on non-planar input.
+    Deterministic: equal graphs embed identically.
     """
-    if not is_connected(g):
-        raise ValueError("embedding requires a connected graph")
-    rotations = _rotations(g, need_rotations=True)
-    return RotationSystem(tuple(tuple(r) for r in rotations))
-
+    pieces = _block_pieces(g)
+    if len(pieces) != 1 or len(pieces[0][0]) != g.p:
+        raise ValueError("embedding requires a 2-connected graph")
+    if g.q > 3 * g.p - 6:
+        raise NonPlanarGraphError("more than 3p - 6 edges")
+    faces = _embed_block(*pieces[0])
+    least = (min(f[i:] + f[:i] for i in range(len(f))) for f in faces)
+    return tuple(sorted(least, key=lambda f: (len(f), f)))

@@ -1,9 +1,9 @@
 """Slow reference implementations the fast code is checked against.
 
 Everything here favours obviousness over speed: plain dict-of-sets
-adjacency, search over all permutations or all deletion subsets.  None
-of it shares internals with the package; the point is a second,
-independent route to every answer.
+adjacency, search over all (degree-preserving) permutations or all
+deletion subsets.  None of it shares internals with the package; the
+point is a second, independent route to every answer.
 """
 
 from __future__ import annotations
@@ -61,12 +61,32 @@ def brute_3_connected(g: Graph) -> bool:
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
-    """Try every bijection.  No cleverness beyond the size check."""
+    """Try every degree-preserving bijection.
+
+    An isomorphism maps each vertex to one of equal degree, so no other
+    bijection can succeed and every verdict is that of trying them all.
+    No cleverness beyond that and the size check.
+    """
     if a.p != b.p or a.q != b.q:
+        return False
+    by_degree_a: dict[int, list[int]] = {}
+    by_degree_b: dict[int, list[int]] = {}
+    for v in range(a.p):
+        by_degree_a.setdefault(a.degree(v), []).append(v)
+        by_degree_b.setdefault(b.degree(v), []).append(v)
+    if {d: len(vs) for d, vs in by_degree_a.items()} != {
+        d: len(vs) for d, vs in by_degree_b.items()
+    }:
         return False
     edges_b = set(b.edges())
     edges_a = tuple(a.edges())
-    for perm in itertools.permutations(range(a.p)):
+    sources = [v for vs in by_degree_a.values() for v in vs]
+    perm = [0] * a.p
+    for images in itertools.product(
+        *(itertools.permutations(by_degree_b[d]) for d in by_degree_a)
+    ):
+        for v, w in zip(sources, itertools.chain.from_iterable(images)):
+            perm[v] = w
         if all(
             (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges_b
             for u, v in edges_a

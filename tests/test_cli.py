@@ -1,8 +1,10 @@
 """Public surface: CLI exit codes, pipelines, formats and output files,
 the README's library example, and the names the package exports."""
 
+import ast
 import doctest
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -276,3 +278,20 @@ def test_all_lists_exactly_the_public_names():
     }
     assert len(pc.__all__) == len(set(pc.__all__))
     assert set(pc.__all__) == public
+
+
+def test_traced_layers_exist():
+    # the benchmark's layer trace wraps these names by lookup; a rename
+    # or deletion would break traced runs, not any test of the package
+    source = (Path(__file__).parents[1] / "bench" / "tracing.py").read_text()
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    )
+    assert layers
+    for module, name in layers:
+        assert callable(getattr(importlib.import_module(f"polycensus.{module}"), name))
+    assert callable(pc.Graph.__post_init__)
+    isomorphism = importlib.import_module("polycensus.isomorphism")
+    assert callable(isomorphism.canonical_labeling.cache_info)

@@ -155,7 +155,7 @@ def test_carried_faces_are_the_embedded_faces():
         for q, classes in _embedded_census(p).items():
             assert tuple(g for g, _, _ in classes) == enumerate_polyhedra(p, q)
             for g, faces, _ in classes:
-                assert sorted(faces) == _masks(pc.embed(g).faces()), pc.encode(g)
+                assert sorted(faces) == _masks(pc.embed(g)), pc.encode(g)
 
 
 def test_split_faces_are_triangulations():
@@ -174,7 +174,7 @@ def test_split_faces_are_triangulations():
                         p + 1, {e for f in split for e in combinations(bits(f), 2)}
                     )
                     assert s.q == 3 * p - 3 and len(split) == 2 * p - 2, (p, v, i, j)
-                    assert sorted(split) == _masks(pc.embed(s).faces()), (p, v, i, j)
+                    assert sorted(split) == _masks(pc.embed(s)), (p, v, i, j)
                     splits += 1
     assert splits == 1328
 

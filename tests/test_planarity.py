@@ -3,7 +3,7 @@ import random
 import pytest
 
 import polycensus as pc
-from polycensus import NonPlanarGraphError, RotationSystem, embed, is_planar
+from polycensus import NonPlanarGraphError, NotPolyhedralError, dual, embed, is_planar
 from tests.oracles import icosahedron, kuratowski_oracle, sample_graphs, shuffled
 
 
@@ -72,14 +72,15 @@ def test_kuratowski_equals_is_planar_sampled():
 
 
 def test_embed_face_counts():
-    assert sorted(map(len, embed(pc.complete(4)).faces())) == [3, 3, 3, 3]
-    assert sorted(map(len, embed(cube()).faces())) == [4] * 6
+    assert sorted(map(len, embed(pc.complete(4)))) == [3, 3, 3, 3]
+    assert sorted(map(len, embed(cube()))) == [4] * 6
     # square pyramid: four triangles and the base
-    assert sorted(map(len, embed(pc.wheel(4)).faces())) == [3, 3, 3, 3, 4]
+    assert sorted(map(len, embed(pc.wheel(4)))) == [3, 3, 3, 3, 4]
+    assert sorted(map(len, embed(icosahedron()))) == [3] * 20
     for g in pc.enumerate_polyhedra(8, 14):
-        assert len(embed(g).faces()) == 8
+        assert len(embed(g)) == 8
     for g in pc.enumerate_polyhedra(8, 13):
-        assert len(embed(g).faces()) == 7
+        assert len(embed(g)) == 7
 
 
 def test_embed_requires_connected():
@@ -96,21 +97,23 @@ def test_embed_rejects_nonplanar():
 
 
 def test_embed_handles_cut_vertices_and_bridges():
-    # two triangles joined by a bridge: blocks must be merged
-    g = pc.Graph.from_edges(
+    # two triangles joined by a bridge, a star, K1 and K2 are not
+    # 2-connected: no embedding, and so no dual
+    bridged = pc.Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
     )
-    rs = embed(g)
-    assert len(rs.faces()) == g.q - g.p + 2
     star = pc.Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert embed(star).faces() == ((0, 1, 0, 2, 0, 3, 0, 4),)
-    assert embed(pc.empty_graph(1)).faces() == ((0,),)
+    for g in (bridged, star, pc.empty_graph(1), pc.complete(2)):
+        with pytest.raises(ValueError, match="2-connected"):
+            embed(g)
+        with pytest.raises(NotPolyhedralError):
+            dual(g)
 
 
 def test_euler_formula_census(census):
     for (p, q), graphs in census.items():
         for g in graphs:
-            assert len(embed(g).faces()) == q - p + 2
+            assert len(embed(g)) == q - p + 2
 
 
 def test_face_size_multiset_is_embedding_invariant(census):
@@ -119,48 +122,14 @@ def test_face_size_multiset_is_embedding_invariant(census):
     rng = random.Random(31)
     for graphs in census.values():
         for g in graphs:
-            sizes = sorted(map(len, embed(g).faces()))
+            sizes = sorted(map(len, embed(g)))
             for _ in range(3):
-                assert sorted(map(len, embed(shuffled(g, rng)).faces())) == sizes
+                assert sorted(map(len, embed(shuffled(g, rng)))) == sizes
 
 
-def test_rotation_system_type():
-    rs = embed(pc.complete(4))
-    assert rs.p == 4
-    assert rs.degree(0) == 3
+def test_embed_face_order():
     # dual numbers its vertices in this order
-    assert rs.faces() == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
-    assert embed(pc.wheel(4)).faces() == (
+    assert embed(pc.complete(4)) == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
+    assert embed(pc.wheel(4)) == (
         (0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 3, 4), (0, 3, 2, 1),
     )
-    with pytest.raises(ValueError):
-        RotationSystem(((1, 1), (0, 0)))  # repeated neighbor
-    with pytest.raises(ValueError):
-        RotationSystem(((1,), ()))  # asymmetric
-
-
-def test_trace_faces_on_explicit_rotation():
-    # K4 with the planar rotation: each face is a triangle
-    rs = RotationSystem(((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)))
-    faces = rs.faces()
-    assert len(faces) == 4
-    assert sorted(map(len, faces)) == [3, 3, 3, 3]
-    # flipping one rotation breaks planarity of the embedding: the
-    # same graph now traces a torus-like face structure
-    rs_twisted = RotationSystem(((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)))
-    assert len(rs_twisted.faces()) != 4
-
-
-def test_faces_past_sixteen_vertices():
-    # the dodecahedron, drawn as the dual of the embedded icosahedron:
-    # face k becomes vertex k, its rotation the faces across its edges
-    # in boundary order.  With 20 vertices its darts outnumber what a
-    # 16-vertex dart index could tell apart.
-    faces = embed(icosahedron()).faces()
-    side = {(f[k], f[(k + 1) % 3]): i for i, f in enumerate(faces) for k in range(3)}
-    rotations = tuple(
-        tuple(side[f[(k + 1) % 3], f[k]] for k in range(3)) for f in faces
-    )
-    dodecahedron = RotationSystem(rotations)
-    assert dodecahedron.p == 20
-    assert [len(f) for f in dodecahedron.faces()] == [5] * 12

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .catalog import CatalogEntry, build_catalog
-from .connectivity import is_3_connected
-from .duality import is_polyhedral
+from .duality import _embedding, _three_connected_by_faces
 from .enumeration import (
     enumerate_polyhedra,
     filter_by_degree_sequence,
@@ -284,10 +283,11 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
     winners = []
     for g in graphs:
         c = g.complement()
-        if not is_planar(c):
+        planar, faces = _embedding(c)
+        if not planar:
             non_planar += 1
             continue
-        if not is_3_connected(c):
+        if faces is None or not _three_connected_by_faces(c, faces):
             not_3conn += 1
             continue
         winners.append(g)

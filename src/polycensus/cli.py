@@ -28,13 +28,18 @@ from .catalog import (
     order_census,
 )
 from .classify import ClassificationError, solve_question, validate_report
-from .duality import NotPolyhedralError, dual, is_self_dual
+from .duality import (
+    NotPolyhedralError,
+    _embedding,
+    _face_graph,
+    _three_connected_by_faces,
+    dual,
+)
 from .enumeration import enumerate_by_size
 from .graph6 import decode, encode
 from .graphs import Graph
-from .isomorphism import is_self_complementary
+from .isomorphism import are_isomorphic, is_self_complementary
 from .connectivity import is_3_connected
-from .planarity import is_planar
 
 
 class CliInputError(ValueError):
@@ -143,12 +148,19 @@ def cmd_check(args) -> int:
         return "true" if flag else "false"
 
     for _, g in _input_graphs(args):
-        planar = is_planar(g)
-        three = is_3_connected(g)
+        # one embedding: the face test answers 3-connectivity when g is
+        # 2-connected and planar, and the same faces give its dual
+        planar, faces = _embedding(g)
+        if not planar:
+            three = is_3_connected(g)
+        else:
+            three = faces is not None and _three_connected_by_faces(g, faces)
         poly = planar and three
-        # a dual with q - p + 2 != p vertices cannot match; skipping
-        # is_self_dual then spares a second polyhedrality test
-        self_dual = poly and 2 * g.p == g.q + 2 and is_self_dual(g)
+        self_dual = (
+            poly
+            and 2 * g.p == g.q + 2
+            and are_isomorphic(g, _face_graph(g, faces))
+        )
         sys.stdout.write(
             f"planar={word(planar)}"
             f" 3-connected={word(three)}"

@@ -7,16 +7,21 @@ p* = q - p + 2 vertices and q* = q edges.
 
 ``_face_graph`` builds a dual from the faces of a polyhedral graph,
 each the bitmask of its vertices; the two faces either side of an edge
-are the only two that hold both its ends.  ``dual`` embeds its input
-and passes the vertex sets of the faces ``embed`` returns, and the
-census passes the faces it carries with each class.
+are the only two that hold both its ends.  One embedding answers every
+question about a single graph: ``embed`` is the planarity test, and
+the faces it returns give 3-connectivity by the face test
+(``_three_connected_by_faces``) and then the dual.  ``dual``,
+``is_polyhedral`` and ``is_self_dual`` embed once and run no
+3-connectivity search; ``_embedding`` serves ``check`` and the
+complement scan of ``classify``, which also need planarity of graphs
+that are not 2-connected.  The census passes the faces it carries with
+each class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .connectivity import is_3_connected
 from .graphs import Graph, bits
 from .isomorphism import are_isomorphic
 from .planarity import NonPlanarGraphError, embed, is_planar
@@ -26,13 +31,38 @@ class NotPolyhedralError(ValueError):
     """Raised when an operation needs a 3-connected planar input."""
 
 
-def is_polyhedral(g: Graph) -> bool:
-    """Simple graphs are assumed; checks 3-connectivity, then planarity."""
-    return g.p >= 4 and is_3_connected(g) and is_planar(g)
-
-
 def _not_polyhedral(g: Graph) -> NotPolyhedralError:
     return NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
+
+
+def _embedding(g: Graph) -> tuple[bool, list[int] | None]:
+    """Whether ``g`` is planar, with the vertex masks of its faces when
+    it is also 2-connected; a graph that is not is embedded block by
+    block."""
+    try:
+        faces = embed(g)
+    except NonPlanarGraphError:
+        return False, None
+    except ValueError:  # not 2-connected
+        return is_planar(g), None
+    return True, [sum(1 << x for x in f) for f in faces]
+
+
+def _polyhedral_faces(g: Graph) -> list[int] | None:
+    """The vertex masks of the faces of ``g`` if it is polyhedral, else
+    None.  A vertex of degree below 3 answers before any embedding."""
+    if g.p < 4 or any(row.bit_count() < 3 for row in g.adj):
+        return None
+    try:
+        faces = [sum(1 << x for x in f) for f in embed(g)]
+    except ValueError:  # not 2-connected, or not planar
+        return None
+    return faces if _three_connected_by_faces(g, faces) else None
+
+
+def is_polyhedral(g: Graph) -> bool:
+    """Simple graphs are assumed; one embedding and the face test."""
+    return _polyhedral_faces(g) is not None
 
 
 def dual(g: Graph) -> Graph:
@@ -40,16 +70,13 @@ def dual(g: Graph) -> Graph:
 
     Deterministic for a given labelled input (faces are numbered in the
     sorted order ``embed`` returns them in), but only the isomorphism
-    class is meaningful.  Checks 3-connectivity, then embeds once: the
-    embedding is the planarity test.
+    class is meaningful.  Embeds once: the embedding is the planarity
+    test, and its faces give 3-connectivity and the dual.
     """
-    if not (g.p >= 4 and is_3_connected(g)):
+    faces = _polyhedral_faces(g)
+    if faces is None:
         raise _not_polyhedral(g)
-    try:
-        faces = embed(g)
-    except NonPlanarGraphError:
-        raise _not_polyhedral(g) from None
-    return _face_graph(g, [sum(1 << x for x in f) for f in faces])
+    return _face_graph(g, faces)
 
 
 def _faces_through(faces: Sequence[int], p: int) -> list[int]:
@@ -59,6 +86,45 @@ def _faces_through(faces: Sequence[int], p: int) -> list[int]:
         for x in bits(f):
             on[x] |= 1 << k
     return on
+
+
+def _three_connected_by_faces(g: Graph, faces: Sequence[int]) -> bool:
+    """Whether the 2-connected plane graph ``g`` with these faces (vertex
+    masks) is 3-connected: no two faces share two vertices, but for the
+    two ends of an edge between them.
+
+    That is, vertices x and y lie on at most one common face, or on two
+    when xy is an edge; p >= 4 is part of the definition.  A face of a
+    2-connected plane graph is bounded by a cycle, so it meets each
+    vertex in one angle between consecutive edges, and distinct angles
+    at x lie in distinct faces.
+
+    If g is 3-connected and faces F and F' both hold x and y, draw a
+    closed curve from x through F to y and back through F'.  It meets g
+    only at x and y, and the two x-y arcs of F's boundary cycle lie in
+    the two regions it bounds, so one arc has no inner vertex, or {x, y}
+    would cut g: it is the edge xy.  So every face that holds x and y
+    has the edge xy on its boundary, and an edge lies on two faces.
+
+    If g is not 3-connected, let {x, y} cut it, H one component of
+    g - x - y and H' the rest; by 2-connectivity x has a neighbour in
+    each.  Around x, the edges to H, the edges to H' and the edge xy
+    (when present) make two or three classes, so there are at least two
+    or three angles between edges of different classes.  The face in
+    such an angle holds y: its boundary runs from one side of the cut
+    to the other avoiding x, or uses the edge xy.  So x and y share two
+    faces without an edge, or three with one.
+    """
+    p, adj = g.p, g.adj
+    if p < 4:
+        return False
+    on = _faces_through(faces, p)
+    for x in range(p):
+        ox, row = on[x], adj[x]
+        for y in range(x + 1, p):
+            if (ox & on[y]).bit_count() > 1 + (row >> y & 1):
+                return False
+    return True
 
 
 def _face_graph(g: Graph, faces: Sequence[int]) -> Graph:
@@ -86,10 +152,9 @@ def _face_graph(g: Graph, faces: Sequence[int]) -> Graph:
 
 def is_self_dual(g: Graph) -> bool:
     """Raises NotPolyhedralError unless ``g`` is polyhedral."""
+    faces = _polyhedral_faces(g)
+    if faces is None:
+        raise _not_polyhedral(g)
     # the dual has q - p + 2 vertices; when that differs from p it is not
     # built, since it may exceed the supported order
-    if 2 * g.p != g.q + 2:
-        if not is_polyhedral(g):
-            raise _not_polyhedral(g)
-        return False
-    return are_isomorphic(g, dual(g))
+    return 2 * g.p == g.q + 2 and are_isomorphic(g, _face_graph(g, faces))

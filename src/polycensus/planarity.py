@@ -2,16 +2,19 @@
 
 ``is_planar`` / ``embed`` build an explicit embedding face by face
 (insert one fragment path at a time, always handling a fragment with
-the fewest admissible faces first, per block of the graph).  ``embed``
-returns the faces of a 2-connected graph, each a vertex walk in a
-normal form; ``dual``, which checks 3-connectivity and then calls
-``embed``, embeds its input once and reads the faces as vertex sets,
-the form the census carries with each class.  The tests check
-planarity against a direct search for a K5 or K3,3 subdivision that
-knows nothing about embeddings.
+the fewest admissible faces first, per block of the graph), on vertex
+bitmasks.  ``embed`` returns the faces of a 2-connected graph, each a
+vertex walk in a normal form; ``dual``, ``is_polyhedral`` and
+``check`` embed their input once and read the faces as vertex sets,
+which give 3-connectivity and the dual (see ``duality``).  The tests
+check planarity against a direct search for a K5 or K3,3 subdivision
+that knows nothing about embeddings, and the faces against the plain
+embedder this one replaced.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .graphs import Graph, bits
 
@@ -23,58 +26,65 @@ class NonPlanarGraphError(ValueError):
 # ---------------------------------------------------------------------------
 # block decomposition
 
-def _blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Biconnected components as edge lists; bridges give single edges."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = 0
+def _block_pieces(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """Blocks on three or more vertices as (vertices, rows), ``rows[v]``
+    the neighbours of v in the block; bridges are planar and left out."""
+    p, adj = g.p, g.adj
+    index = [-1] * p
     stack: list[tuple[int, int]] = []
-    out: list[list[tuple[int, int]]] = []
+    pieces = []
+    counter = 0
 
-    def dfs(v: int, parent: int) -> None:
+    def dfs(v: int, parent: int) -> int:
+        """The low point of v: the least index that v's subtree reaches
+        with at most one back edge."""
         nonlocal counter
-        index[v] = low[v] = counter
+        index[v] = least = counter
         counter += 1
-        for u in bits(g.adj[v]):
+        for u in bits(adj[v]):
             if u == parent:
                 continue
-            if u in index:
+            if index[u] >= 0:
                 if index[u] < index[v]:
                     stack.append((v, u))
-                    low[v] = min(low[v], index[u])
-            else:
-                stack.append((v, u))
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] >= index[v]:
-                    block = []
-                    while True:
-                        e = stack.pop()
-                        block.append(e)
-                        if e == (v, u):
-                            break
-                    out.append(block)
+                    least = min(least, index[u])
+                continue
+            stack.append((v, u))
+            low_u = dfs(u, v)
+            least = min(least, low_u)
+            if low_u >= index[v]:
+                rows = [0] * p
+                edges = 0
+                while True:
+                    a, b = stack.pop()
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+                    edges += 1
+                    if (a, b) == (v, u):
+                        break
+                if edges > 1:
+                    pieces.append(([x for x in range(p) if rows[x]], rows))
+        return least
 
-    for s in range(g.p):
-        if s not in index:
+    for s in range(p):
+        if index[s] < 0:
             dfs(s, -1)
-    return out
+    return pieces
 
 
 # ---------------------------------------------------------------------------
 # path-insertion embedder for one 2-connected block
 
-def _find_cycle(vs: list[int], adj: dict[int, int]) -> list[int]:
+def _find_cycle(vs: list[int], adj: list[int]) -> list[int]:
     """Any cycle of a graph with min degree >= 2, as a vertex list."""
     start = vs[0]
-    parent = {start: -1}
+    parent = [-1] * len(adj)
+    seen = 1 << start
     order = [start]
-    k = 0
-    while k < len(order):
-        x = order[k]
-        k += 1
+    for x in order:
         for y in bits(adj[x]):
-            if y not in parent:
+            if not seen >> y & 1:
+                seen |= 1 << y
                 parent[y] = x
                 order.append(y)
             elif y != parent[x]:
@@ -85,116 +95,135 @@ def _find_cycle(vs: list[int], adj: dict[int, int]) -> list[int]:
                 py = [y]
                 while py[-1] != start:
                     py.append(parent[py[-1]])
-                sy = set(py)
-                meet = next(v for v in px if v in sy)
+                meet = next(v for v in px if v in py)
                 cx = px[: px.index(meet) + 1]
                 cy = py[: py.index(meet)]
-                return cx + list(reversed(cy))
+                return cx + cy[::-1]
     raise AssertionError("no cycle in a 2-connected block")
 
 
 def _fragments(
-    vs: list[int], adj: dict[int, int], emb: dict[int, int], placed: set[int]
-) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Pieces of the block not yet embedded: (attachments, interior)."""
-    frags = []
-    for v in sorted(placed):
-        for u in bits(adj[v] & ~emb[v]):
-            if u > v and u in placed:
-                frags.append((frozenset((v, u)), ()))
-    seen: set[int] = set()
-    for s in vs:
-        if s in placed or s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        k = 0
-        while k < len(comp):
-            x = comp[k]
-            k += 1
-            for y in bits(adj[x]):
-                if y not in placed and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        att = set()
-        for x in comp:
-            att.update(y for y in bits(adj[x]) if y in placed)
-        frags.append((frozenset(att), tuple(sorted(comp))))
-    return frags
+    adj: list[int], emb: list[int], placed: int, left: int
+) -> Iterator[tuple[int, int]]:
+    """Pieces of the block not yet embedded, as (attachments, interior)
+    vertex masks: chords by (v, u), then components by least vertex."""
+    for v in bits(placed):
+        for u in bits(adj[v] & ~emb[v] & placed & -(2 << v)):
+            yield 1 << v | 1 << u, 0
+    while left:
+        comp = frontier = left & -left
+        att = 0
+        while frontier:
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            att |= reach & placed
+            frontier = reach & left & ~comp
+            comp |= frontier
+        left &= ~comp
+        yield att, comp
 
 
-def _fragment_path(
-    frag: tuple[frozenset[int], tuple[int, ...]],
-    adj: dict[int, int],
-    placed: set[int],
-) -> list[int]:
-    """A path between two attachments whose interior lies in the fragment."""
-    att, interior = frag
-    if not interior:
-        v, u = sorted(att)
-        return [v, u]
-    comp = set(interior)
-    a = min(att)
-    queue = sorted(x for x in bits(adj[a]) if x in comp)
-    parent = {x: a for x in queue}
-    k = 0
-    while k < len(queue):
-        x = queue[k]
-        k += 1
-        ends = sorted(y for y in bits(adj[x]) if y in placed and y != a)
+def _fragment_path(att: int, comp: int, adj: list[int], placed: int) -> list[int]:
+    """A path between two attachments with its interior in ``comp``:
+    breadth first from the least attachment, neighbours in ascending
+    order, to the least other placed vertex first met."""
+    a = (att & -att).bit_length() - 1
+    if not comp:
+        return [a, att.bit_length() - 1]
+    stop = placed & ~(1 << a)
+    parent = [a] * len(adj)
+    seen = adj[a] & comp
+    queue = list(bits(seen))
+    for x in queue:
+        ends = adj[x] & stop
         if ends:
-            path = [ends[0], x]
+            path = [(ends & -ends).bit_length() - 1, x]
             while path[-1] != a:
                 path.append(parent[path[-1]])
             path.reverse()
             return path
-        for y in sorted(bits(adj[x])):
-            if y in comp and y not in parent:
-                parent[y] = x
-                queue.append(y)
+        new = adj[x] & comp & ~seen
+        seen |= new
+        for y in bits(new):
+            parent[y] = x
+            queue.append(y)
     raise AssertionError("fragment with one attachment in a 2-connected block")
 
 
-def _embed_block(vs: list[int], adj: dict[int, int]) -> list[tuple[int, ...]]:
-    """Face walks of one 2-connected block; raises NonPlanarGraphError."""
+def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
+    """Face walks of one 2-connected block; raises NonPlanarGraphError.
+
+    Path insertion (Demoucron, Malgrange and Pertuiset): start from a
+    cycle, two faces; while an edge is left, find the fragments (each
+    chord between placed vertices, and each component of the unplaced
+    vertices with its edges to placed ones), take the first fragment
+    with the fewest admissible faces (faces that hold all of its
+    attachments), and draw a path of it across the lowest-index such
+    face, which splits in two.  On a planar block some fragment always
+    has an admissible face, and embedding a fragment with exactly one
+    is forced.  Each face keeps its vertex mask beside its walk, so a
+    face is admissible when ``not att & ~mask``.
+
+    The scan stops at the first fragment with at most one admissible
+    face.  On a planar block no fragment has none, so this is the first
+    fragment with the fewest, the same choice as a full scan, and the
+    faces are the same.  On a non-planar block it may embed a fragment
+    with one admissible face before reaching one with none; but a
+    fragment that fits no face fits none later: its attachments do not
+    change until a path of it is drawn (the vertices placed meanwhile
+    come from other fragments, so none is its attachment), and a split
+    face gives two faces inside the old one and the new path, whose
+    interior it does not touch.  Such a fragment is never drawn, so
+    the loop reaches it and the verdict is the same.
+    """
     cycle = _find_cycle(vs, adj)
-    emb = {v: 0 for v in vs}
-    placed = set(cycle)
+    emb = [0] * len(adj)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         emb[a] |= 1 << b
         emb[b] |= 1 << a
+    placed = sum(1 << v for v in cycle)
+    left = sum(1 << v for v in vs) & ~placed
     faces: list[tuple[int, ...]] = [tuple(cycle), tuple(reversed(cycle))]
-    total = sum(m.bit_count() for m in adj.values()) // 2
+    masks = [placed, placed]
+    total = sum(map(int.bit_count, adj)) // 2
     done = len(cycle)
 
     while done < total:
-        best_frag = None
+        best: tuple[int, int] | None = None
         best_faces: list[int] = []
-        for frag in _fragments(vs, adj, emb, placed):
-            att = frag[0]
-            adm = [i for i, f in enumerate(faces) if att <= set(f)]
-            if best_frag is None or len(adm) < len(best_faces):
-                best_frag, best_faces = frag, adm
-                if not adm:
+        for att, comp in _fragments(adj, emb, placed, left):
+            adm = [i for i, m in enumerate(masks) if not att & ~m]
+            if best is None or len(adm) < len(best_faces):
+                best, best_faces = (att, comp), adm
+                if len(adm) <= 1:
                     break
-        assert best_frag is not None
+        assert best is not None
         if not best_faces:
             raise NonPlanarGraphError("a fragment fits in no face")
 
-        path = _fragment_path(best_frag, adj, placed)
-        face = faces[best_faces[0]]
-        m = len(face)
+        path = _fragment_path(*best, adj, placed)
+        k = best_faces[0]
+        face = faces[k]
         i, j = face.index(path[0]), face.index(path[-1])
-        arc_ab = [face[(i + k) % m] for k in range((j - i) % m + 1)]
-        arc_ba = [face[(j + k) % m] for k in range((i - j) % m + 1)]
-        inner = path[1:-1]
-        faces[best_faces[0]] = tuple(arc_ab + list(reversed(inner)))
-        faces.append(tuple(arc_ba + inner))
+        if i < j:
+            arc_ab, arc_ba = face[i : j + 1], face[j:] + face[: i + 1]
+        else:
+            arc_ab, arc_ba = face[i:] + face[: j + 1], face[j : i + 1]
+        inner = tuple(path[1:-1])
+        mid = sum(1 << x for x in inner)
+        ends = 1 << path[0] | 1 << path[-1]
+        ab = sum(1 << x for x in arc_ab)
+        faces[k] = arc_ab + inner[::-1]
+        faces.append(arc_ba + inner)
+        masks.append(masks[k] & ~ab | ends | mid)
+        masks[k] = ab | mid
         for x, y in zip(path, path[1:]):
             emb[x] |= 1 << y
             emb[y] |= 1 << x
-            done += 1
-        placed.update(inner)
+        done += len(path) - 1
+        placed |= mid
+        left &= ~mid
 
     # each dart on one face glues the faces into a closed surface, and
     # Euler characteristic 2 makes it the sphere
@@ -202,21 +231,6 @@ def _embed_block(vs: list[int], adj: dict[int, int]) -> list[tuple[int, ...]]:
     assert sum(map(len, faces)) == len(darts) == 2 * total
     assert len(faces) == total - len(vs) + 2
     return faces
-
-
-def _block_pieces(g: Graph) -> list[tuple[list[int], dict[int, int]]]:
-    """Blocks on three or more vertices; bridges are planar and left out."""
-    pieces = []
-    for edges in sorted(_blocks(g), key=lambda es: sorted(es)):
-        if len(edges) == 1:
-            continue
-        vs = sorted({v for e in edges for v in e})
-        adj = {v: 0 for v in vs}
-        for a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        pieces.append((vs, adj))
-    return pieces
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from functools import cache
 
 from polycensus import (
     Graph,
+    NonPlanarGraphError,
     canonical_form,
     canonical_graph,
     empty_graph,
@@ -434,3 +435,159 @@ def _plain_search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     rec(_plain_refine(nbrs, [0] * p), 0)
     assert best_label is not None
     return best_label
+
+
+# ---------------------------------------------------------------------------
+# path insertion by the plain embedder
+
+def _set_bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _plain_find_cycle(vs: list[int], adj: dict[int, int]) -> list[int]:
+    """Any cycle of a graph with min degree >= 2, as a vertex list."""
+    start = vs[0]
+    parent = {start: -1}
+    order = [start]
+    k = 0
+    while k < len(order):
+        x = order[k]
+        k += 1
+        for y in _set_bits(adj[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+            elif y != parent[x]:
+                # back or cross edge: join the two tree paths
+                px = [x]
+                while px[-1] != start:
+                    px.append(parent[px[-1]])
+                py = [y]
+                while py[-1] != start:
+                    py.append(parent[py[-1]])
+                sy = set(py)
+                meet = next(v for v in px if v in sy)
+                cx = px[: px.index(meet) + 1]
+                cy = py[: py.index(meet)]
+                return cx + list(reversed(cy))
+    raise AssertionError("no cycle in a 2-connected block")
+
+
+def _plain_fragments(
+    vs: list[int], adj: dict[int, int], emb: dict[int, int], placed: set[int]
+) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Pieces of the block not yet embedded: (attachments, interior)."""
+    frags = []
+    for v in sorted(placed):
+        for u in _set_bits(adj[v] & ~emb[v]):
+            if u > v and u in placed:
+                frags.append((frozenset((v, u)), ()))
+    seen: set[int] = set()
+    for s in vs:
+        if s in placed or s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        k = 0
+        while k < len(comp):
+            x = comp[k]
+            k += 1
+            for y in _set_bits(adj[x]):
+                if y not in placed and y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        att = set()
+        for x in comp:
+            att.update(y for y in _set_bits(adj[x]) if y in placed)
+        frags.append((frozenset(att), tuple(sorted(comp))))
+    return frags
+
+
+def _plain_fragment_path(
+    frag: tuple[frozenset[int], tuple[int, ...]],
+    adj: dict[int, int],
+    placed: set[int],
+) -> list[int]:
+    """A path between two attachments whose interior lies in the fragment."""
+    att, interior = frag
+    if not interior:
+        v, u = sorted(att)
+        return [v, u]
+    comp = set(interior)
+    a = min(att)
+    queue = sorted(x for x in _set_bits(adj[a]) if x in comp)
+    parent = {x: a for x in queue}
+    k = 0
+    while k < len(queue):
+        x = queue[k]
+        k += 1
+        ends = sorted(y for y in _set_bits(adj[x]) if y in placed and y != a)
+        if ends:
+            path = [ends[0], x]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return path
+        for y in sorted(_set_bits(adj[x])):
+            if y in comp and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    raise AssertionError("fragment with one attachment in a 2-connected block")
+
+
+def plain_embed_block(vs: list[int], adj: dict[int, int]) -> list[tuple[int, ...]]:
+    """Face walks of one 2-connected block; raises NonPlanarGraphError.
+
+    ``adj`` maps each vertex of the block to the bitmask of its block
+    neighbours.  The package's ``planarity._embed_block`` once was this
+    code; it is kept here unchanged but for its names and a local bit
+    iterator, so the bitmask
+    embedder is checked face for face against the one it replaced: the
+    same cycle, fragment order, face choice and paths, and a full scan
+    of the fragments at every step.
+    """
+    cycle = _plain_find_cycle(vs, adj)
+    emb = {v: 0 for v in vs}
+    placed = set(cycle)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        emb[a] |= 1 << b
+        emb[b] |= 1 << a
+    faces: list[tuple[int, ...]] = [tuple(cycle), tuple(reversed(cycle))]
+    total = sum(m.bit_count() for m in adj.values()) // 2
+    done = len(cycle)
+
+    while done < total:
+        best_frag = None
+        best_faces: list[int] = []
+        for frag in _plain_fragments(vs, adj, emb, placed):
+            att = frag[0]
+            adm = [i for i, f in enumerate(faces) if att <= set(f)]
+            if best_frag is None or len(adm) < len(best_faces):
+                best_frag, best_faces = frag, adm
+                if not adm:
+                    break
+        assert best_frag is not None
+        if not best_faces:
+            raise NonPlanarGraphError("a fragment fits in no face")
+
+        path = _plain_fragment_path(best_frag, adj, placed)
+        face = faces[best_faces[0]]
+        m = len(face)
+        i, j = face.index(path[0]), face.index(path[-1])
+        arc_ab = [face[(i + k) % m] for k in range((j - i) % m + 1)]
+        arc_ba = [face[(j + k) % m] for k in range((i - j) % m + 1)]
+        inner = path[1:-1]
+        faces[best_faces[0]] = tuple(arc_ab + list(reversed(inner)))
+        faces.append(tuple(arc_ba + inner))
+        for x, y in zip(path, path[1:]):
+            emb[x] |= 1 << y
+            emb[y] |= 1 << x
+            done += 1
+        placed.update(inner)
+
+    # each dart on one face glues the faces into a closed surface, and
+    # Euler characteristic 2 makes it the sphere
+    darts = {(f[k - 1], f[k]) for f in faces for k in range(len(f))}
+    assert sum(map(len, faces)) == len(darts) == 2 * total
+    assert len(faces) == total - len(vs) + 2
+    return faces

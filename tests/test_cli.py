@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import polycensus as pc
-from polycensus import cli, duality, planarity
+from polycensus import cli, planarity
 from polycensus.cli import main
 
 
@@ -188,11 +188,13 @@ def test_check_polyhedron_with_more_faces_than_a_graph_holds(capsys):
     )
 
 
-def test_check_tests_polyhedrality_once_when_not_self_dual(capsys, monkeypatch):
+def test_check_embeds_each_input_once(capsys, monkeypatch):
+    # the one embedding answers planarity, the face test 3-connectivity,
+    # and its faces give the dual for the self-dual test
     cube = pc.encode(pc.dual(pc.complete_multipartite(2, 2, 2)))
     calls = []
     embed_block = planarity._embed_block
-    three = cli.is_3_connected
+    three = pc.is_3_connected
 
     def counting_embed(vs, adj):
         calls.append("embed")
@@ -203,16 +205,41 @@ def test_check_tests_polyhedrality_once_when_not_self_dual(capsys, monkeypatch):
         return three(g)
 
     monkeypatch.setattr(planarity, "_embed_block", counting_embed)
-    for module in (cli, duality):
-        monkeypatch.setattr(module, "is_3_connected", counting_three)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polycensus") and getattr(module, "is_3_connected", None) is three:
+            monkeypatch.setattr(module, "is_3_connected", counting_three)
     code, out, _ = run(capsys, "check", cube)  # 2p != q + 2: never self-dual
-    assert code == 0 and "self-dual=false" in out
-    assert sorted(calls) == ["3c", "embed"]
+    assert code == 0 and "3-connected=true" in out and "self-dual=false" in out
+    assert calls == ["embed"]
     calls.clear()
-    # W5 has 2p = q + 2, so dual() still checks its own input
+    # W5 has 2p = q + 2: its dual is built from the same faces
     code, out, _ = run(capsys, "check", pc.encode(pc.wheel(5)))
     assert code == 0 and "self-dual=true" in out
-    assert sorted(calls) == ["3c", "3c", "embed", "embed"]
+    assert calls == ["embed"]
+    calls.clear()
+    # only a non-planar input, here the Petersen graph, is searched for a
+    # cut of at most two vertices
+    code, out, _ = run(capsys, "check", "IheA@GUAo")
+    assert code == 0 and out.startswith("planar=false 3-connected=true")
+    assert sorted(calls) == ["3c", "embed"]
+
+
+def test_check_on_the_largest_inputs(capsys):
+    # a 16-vertex triangulation from the benchmark's query stream, 28
+    # faces, and a K3,3 subdivision on 16 vertices with edges added up
+    # to 3p - 6 = 42, so the edge count does not reject it; the lines
+    # are those the frozenset embedder printed
+    lines = {
+        "OeoG@Oh@cOZrGG?_D}YUJ": "planar=true 3-connected=true polyhedral=true "
+        "self-dual=false self-complementary=false",
+        "OBiB`GAzPKY_DHe`GIOSi": "planar=false 3-connected=false polyhedral=false "
+        "self-dual=false self-complementary=false",
+    }
+    for line, expected in lines.items():
+        g = pc.decode(line)
+        assert (g.p, g.q) == (16, 42)
+        code, out, err = run(capsys, "check", line)
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_back_to_back_calls_share_no_state(capsys, monkeypatch):

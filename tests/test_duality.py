@@ -1,11 +1,13 @@
+import sys
 from itertools import combinations
 
 import pytest
 
 import polycensus as pc
-from polycensus import NotPolyhedralError, cli, dual, is_polyhedral, is_self_dual
+from polycensus import NotPolyhedralError, cli, dual, embed, is_polyhedral, is_self_dual
 from polycensus import planarity
-from tests.oracles import icosahedron, petersen
+from polycensus.duality import _three_connected_by_faces
+from tests.oracles import brute_3_connected, icosahedron, petersen
 
 
 def cube():
@@ -52,6 +54,13 @@ def test_dual_rejects_non_polyhedra():
         dual(pc.cycle(6))
     with pytest.raises(NotPolyhedralError):
         dual(pc.complete_bipartite(3, 3))
+    # minimum degree 3 but a cut vertex: two K4s sharing vertex 0
+    second = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
+    bowtie = pc.Graph.from_edges(7, [*pc.complete(4).edges(), *second])
+    assert bowtie.q == 12 and min(bowtie.degree_sequence()) == 3
+    with pytest.raises(NotPolyhedralError):
+        dual(bowtie)
+    assert not is_polyhedral(bowtie)
     # 3-connected and non-planar: K5, K6 and K4,4 exceed 3p - 6 edges,
     # the Petersen graph does not and fails inside the embedder
     for g in (pc.complete(5), pc.complete(6), pc.complete_bipartite(4, 4), petersen()):
@@ -61,17 +70,28 @@ def test_dual_rejects_non_polyhedra():
 
 
 def test_dual_embeds_once(monkeypatch):
+    # the faces of the one embedding give 3-connectivity and the dual
     calls = []
+    tests = []
     embed_block = planarity._embed_block
+    three = pc.is_3_connected
 
     def counting(vs, adj):
         calls.append(vs)
         return embed_block(vs, adj)
 
+    def counting_three(g):
+        tests.append(g)
+        return three(g)
+
     monkeypatch.setattr(planarity, "_embed_block", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polycensus") and getattr(module, "is_3_connected", None) is three:
+            monkeypatch.setattr(module, "is_3_connected", counting_three)
     g = cube()
     assert pc.are_isomorphic(dual(g), pc.complete_multipartite(2, 2, 2))
     assert calls == [list(range(8))]
+    assert tests == []
 
 
 def test_dual_bytes_are_pinned(capsys):
@@ -141,3 +161,41 @@ def test_self_dual_split_at_8_14():
     self_dual = [g for g in graphs if is_self_dual(g)]
     assert len(self_dual) == 16
     assert len(graphs) - len(self_dual) == 26
+
+
+def _glued_along_an_edge(s, t):
+    """Triangulations s and t with an edge of each identified."""
+    x, y = next(t.edges())
+    rest = [v for v in range(t.p) if v not in (x, y)]
+    image = {x: 0, y: s.neighbors(0)[0]} | {v: s.p + k for k, v in enumerate(rest)}
+    return pc.Graph.from_edges(
+        s.p + t.p - 2, [*s.edges(), *((image[a], image[b]) for a, b in t.edges())]
+    )
+
+
+def test_face_test_against_brute_force(universe):
+    # on a 2-connected plane graph, 3-connected iff no two faces share
+    # two vertices but the ends of an edge between them
+    graphs = []
+    for g in universe:
+        try:
+            embed(g)  # 2-connected and planar
+        except ValueError:
+            continue
+        graphs.append(g)
+    for p in range(4, 9):
+        for q in range((3 * p + 1) // 2, 3 * p - 5):
+            for g in pc.enumerate_polyhedra(p, q):
+                graphs.append(g)
+                graphs += [g.remove_edge(a, b) for a, b in g.edges()]
+    small = [t for p in (4, 5, 6, 7) for t in pc.triangulations(p)]
+    graphs += [_glued_along_an_edge(s, t) for s in small for t in small]
+    graphs += [pc.cycle(n) for n in range(3, 17)]
+    graphs += [pc.complete_bipartite(2, n) for n in range(2, 15)]
+    verdicts = {False: 0, True: 0}
+    for g in graphs:
+        faces = [sum(1 << x for x in f) for f in embed(g)]
+        verdict = _three_connected_by_faces(g, faces)
+        assert verdict == brute_3_connected(g), pc.encode(g)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 500, verdicts

@@ -232,7 +232,7 @@ def test_census_never_embeds():
             names.add(node.attr)
     assert not any("planarity" in n for n in names)
     assert "embed" not in names
-    assert not any("face_walks" in n for n in names)
+    assert "_embed_block" not in names
     # and reads 3-connectivity after a deletion off the faces
     assert not any("connectivity" in n for n in names)
 
@@ -377,7 +377,7 @@ def test_dual_route_neither_embeds_nor_tests(monkeypatch):
     _embedded_census(8)
     embeds = _count(monkeypatch, planarity, "_embed_block")
     tests = _count(monkeypatch, connectivity, "is_3_connected")
-    tests_in_duality = _count(monkeypatch, duality, "is_3_connected")
+    tests_in_duality = _count(monkeypatch, duality, "_polyhedral_faces")
     assert len(enumerate_polyhedra(10, 16)) == 76
     assert (len(embeds), len(tests), len(tests_in_duality)) == (0, 0, 0)
 

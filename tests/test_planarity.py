@@ -4,7 +4,15 @@ import pytest
 
 import polycensus as pc
 from polycensus import NonPlanarGraphError, NotPolyhedralError, dual, embed, is_planar
-from tests.oracles import icosahedron, kuratowski_oracle, sample_graphs, shuffled
+from polycensus import planarity
+from tests.oracles import (
+    icosahedron,
+    kuratowski_oracle,
+    plain_embed_block,
+    random_graph,
+    sample_graphs,
+    shuffled,
+)
 
 
 def cube():
@@ -133,3 +141,32 @@ def test_embed_face_order():
     assert embed(pc.wheel(4)) == (
         (0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 3, 4), (0, 3, 2, 1),
     )
+
+
+def _walks(embedder, vs, adj):
+    try:
+        return embedder(vs, adj)
+    except NonPlanarGraphError:
+        return None
+
+
+def test_embed_block_matches_the_plain_embedder(universe):
+    # the bitmask embedder makes every choice the plain one makes, so it
+    # returns the same face walks in the same order, or fails alike
+    rng = random.Random(1316)
+    corpus = list(universe)
+    for q in range(6, 17):
+        for classes in pc.enumerate_by_size(q).values():
+            for g in classes:
+                corpus += [g, shuffled(g, rng), g.complement()]
+    for _ in range(1000):
+        p = rng.randint(5, 16)
+        corpus.append(random_graph(p, rng.randint(p, 3 * p - 6), rng))
+    verdicts = set()
+    for g in corpus:
+        for vs, rows in planarity._block_pieces(g):
+            walks = _walks(planarity._embed_block, vs, rows)
+            plain = _walks(plain_embed_block, vs, {v: rows[v] for v in vs})
+            assert walks == plain, pc.encode(g)
+            verdicts.add(walks is None)
+    assert verdicts == {False, True}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .catalog import CatalogEntry, build_catalog
-from .duality import _embedding, _three_connected_by_faces
+from .duality import _polyhedral
 from .enumeration import (
     enumerate_polyhedra,
     filter_by_degree_sequence,
@@ -283,11 +283,11 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
     winners = []
     for g in graphs:
         c = g.complement()
-        planar, faces = _embedding(c)
+        planar, faces = _polyhedral(c)
         if not planar:
             non_planar += 1
             continue
-        if faces is None or not _three_connected_by_faces(c, faces):
+        if faces is None:
             not_3conn += 1
             continue
         winners.append(g)

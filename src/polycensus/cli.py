@@ -9,7 +9,8 @@ strings as arguments or, given none, read one graph6 line per graph
 from stdin, writing one output line per input line.
 
 Relative --out and --report paths are resolved against the
-POLYCENSUS_OUTDIR environment variable when it is set.
+POLYCENSUS_OUTDIR environment variable when it is set; a path that
+cannot be written is an input error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
@@ -28,17 +30,11 @@ from .catalog import (
     order_census,
 )
 from .classify import ClassificationError, solve_question, validate_report
-from .duality import (
-    NotPolyhedralError,
-    _embedding,
-    _face_graph,
-    _three_connected_by_faces,
-    dual,
-)
+from .duality import NotPolyhedralError, _polyhedral, _self_dual_by_faces, dual
 from .enumeration import enumerate_by_size
 from .graph6 import decode, encode
 from .graphs import Graph
-from .isomorphism import are_isomorphic, is_self_complementary
+from .isomorphism import is_self_complementary
 from .connectivity import is_3_connected
 
 
@@ -54,10 +50,20 @@ def _resolve_out(path_str: str) -> Path:
     return path
 
 
+@contextmanager
+def _writing(out: Path):
+    """Turn a failed write under ``out`` into an input error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliInputError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8")
 
@@ -98,7 +104,8 @@ def cmd_enumerate(args) -> int:
     # dot: one graph per file under --out, concatenated blocks on stdout
     if out is None:
         _emit(dot_document((e.label, e.graph) for e in entries), None)
-    else:
+        return 0
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         for e in entries:
             (out / f"{e.label}.dot").write_text(
@@ -148,19 +155,12 @@ def cmd_check(args) -> int:
         return "true" if flag else "false"
 
     for _, g in _input_graphs(args):
-        # one embedding: the face test answers 3-connectivity when g is
-        # 2-connected and planar, and the same faces give its dual
-        planar, faces = _embedding(g)
-        if not planar:
-            three = is_3_connected(g)
-        else:
-            three = faces is not None and _three_connected_by_faces(g, faces)
-        poly = planar and three
-        self_dual = (
-            poly
-            and 2 * g.p == g.q + 2
-            and are_isomorphic(g, _face_graph(g, faces))
-        )
+        # one embedding: its faces answer 3-connectivity when g is planar,
+        # and the same faces give its dual
+        planar, faces = _polyhedral(g)
+        poly = faces is not None
+        three = poly if planar else is_3_connected(g)
+        self_dual = poly and _self_dual_by_faces(g, faces)
         sys.stdout.write(
             f"planar={word(planar)}"
             f" 3-connected={word(three)}"

@@ -5,11 +5,13 @@ delete every vertex subset of size 0, 1 and 2 and test connectivity of
 the rest, at most 137 bitmask searches at order <= 16.  A vertex of
 degree below 3 answers at once, since its neighbours are such a subset.
 It assumes nothing about its input; ``check`` runs it on non-planar
-input, which has no faces to read.  Planar graphs need no such search: ``dual``, ``is_polyhedral``, ``check`` and the
-complement scan read 3-connectivity off the faces of the one embedding
-(see ``duality``), and the census reads whether deleting an edge keeps
-a polyhedral graph 3-connected off its carried faces (see
-``enumeration``).
+input, which has no faces to read.
+
+Planar graphs need no such search.  ``dual``, ``is_polyhedral``,
+``check`` and the complement scan read 3-connectivity off the faces of
+one embedding through one helper, ``duality._polyhedral``, and the
+census reads whether deleting an edge keeps a polyhedral graph
+3-connected off its carried faces (see ``enumeration``).
 """
 
 from __future__ import annotations

@@ -8,14 +8,13 @@ p* = q - p + 2 vertices and q* = q edges.
 ``_face_graph`` builds a dual from the faces of a polyhedral graph,
 each the bitmask of its vertices; the two faces either side of an edge
 are the only two that hold both its ends.  One embedding answers every
-question about a single graph: ``embed`` is the planarity test, and
-the faces it returns give 3-connectivity by the face test
-(``_three_connected_by_faces``) and then the dual.  ``dual``,
-``is_polyhedral`` and ``is_self_dual`` embed once and run no
-3-connectivity search; ``_embedding`` serves ``check`` and the
-complement scan of ``classify``, which also need planarity of graphs
-that are not 2-connected.  The census passes the faces it carries with
-each class.
+question about a single graph, through one helper: ``_polyhedral``
+runs the block search of ``planarity._plane`` once, which is the
+planarity test, and the faces it returns give 3-connectivity by the
+face test (``_three_connected_by_faces``) and then the dual.  ``dual``,
+``is_polyhedral``, ``is_self_dual``, ``check`` and the complement scan
+of ``classify`` all read it and run no 3-connectivity search on planar
+input.  The census passes the faces it carries with each class.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from collections.abc import Sequence
 
 from .graphs import Graph, bits
 from .isomorphism import are_isomorphic
-from .planarity import NonPlanarGraphError, embed, is_planar
+from .planarity import _plane
 
 
 class NotPolyhedralError(ValueError):
@@ -35,34 +34,20 @@ def _not_polyhedral(g: Graph) -> NotPolyhedralError:
     return NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
 
 
-def _embedding(g: Graph) -> tuple[bool, list[int] | None]:
+def _polyhedral(g: Graph) -> tuple[bool, list[int] | None]:
     """Whether ``g`` is planar, with the vertex masks of its faces when
-    it is also 2-connected; a graph that is not is embedded block by
-    block."""
-    try:
-        faces = embed(g)
-    except NonPlanarGraphError:
-        return False, None
-    except ValueError:  # not 2-connected
-        return is_planar(g), None
-    return True, [sum(1 << x for x in f) for f in faces]
-
-
-def _polyhedral_faces(g: Graph) -> list[int] | None:
-    """The vertex masks of the faces of ``g`` if it is polyhedral, else
-    None.  A vertex of degree below 3 answers before any embedding."""
-    if g.p < 4 or any(row.bit_count() < 3 for row in g.adj):
-        return None
-    try:
-        faces = [sum(1 << x for x in f) for f in embed(g)]
-    except ValueError:  # not 2-connected, or not planar
-        return None
-    return faces if _three_connected_by_faces(g, faces) else None
+    it is also 3-connected, else None: one embedding, then the face
+    test."""
+    planar, walks = _plane(g)
+    if walks is None:
+        return planar, None
+    faces = [sum(1 << x for x in f) for f in walks]
+    return True, faces if _three_connected_by_faces(g, faces) else None
 
 
 def is_polyhedral(g: Graph) -> bool:
     """Simple graphs are assumed; one embedding and the face test."""
-    return _polyhedral_faces(g) is not None
+    return _polyhedral(g)[1] is not None
 
 
 def dual(g: Graph) -> Graph:
@@ -73,7 +58,7 @@ def dual(g: Graph) -> Graph:
     class is meaningful.  Embeds once: the embedding is the planarity
     test, and its faces give 3-connectivity and the dual.
     """
-    faces = _polyhedral_faces(g)
+    faces = _polyhedral(g)[1]
     if faces is None:
         raise _not_polyhedral(g)
     return _face_graph(g, faces)
@@ -152,9 +137,14 @@ def _face_graph(g: Graph, faces: Sequence[int]) -> Graph:
 
 def is_self_dual(g: Graph) -> bool:
     """Raises NotPolyhedralError unless ``g`` is polyhedral."""
-    faces = _polyhedral_faces(g)
+    faces = _polyhedral(g)[1]
     if faces is None:
         raise _not_polyhedral(g)
+    return _self_dual_by_faces(g, faces)
+
+
+def _self_dual_by_faces(g: Graph, faces: Sequence[int]) -> bool:
+    """Whether the polyhedral ``g`` with these faces is self-dual."""
     # the dual has q - p + 2 vertices; when that differs from p it is not
     # built, since it may exceed the supported order
     return 2 * g.p == g.q + 2 and are_isomorphic(g, _face_graph(g, faces))

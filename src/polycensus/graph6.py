@@ -42,32 +42,37 @@ def encode(g: Graph) -> str:
 
 def decode(text: str) -> Graph:
     s = text.strip()
+    # positions index ``text`` as given: skip its leading whitespace and header
+    at = len(text) - len(text.lstrip())
     if s.startswith(HEADER):
         s = s[len(HEADER):]
+        at += len(HEADER)
     if not s:
         raise Graph6Error("empty graph6 string")
     n = ord(s[0]) - 63
     if not 1 <= n <= 62:
-        raise Graph6Error(f"unsupported order byte {s[0]!r}", 0)
+        raise Graph6Error(f"unsupported order byte {s[0]!r}", at)
     if n > MAX_VERTICES:
-        raise Graph6Error(f"order {n} exceeds the supported maximum {MAX_VERTICES}", 0)
+        raise Graph6Error(
+            f"order {n} exceeds the supported maximum {MAX_VERTICES}", at
+        )
     nbits = n * (n - 1) // 2
     expect = 1 + (nbits + 5) // 6
     if len(s) != expect:
         raise Graph6Error(
             f"expected {expect} characters for order {n}, got {len(s)}",
-            min(len(s), expect),
+            at + min(len(s), expect),
         )
     # the 6-bit groups as one integer, the first bit highest
     data = 0
     for k, ch in enumerate(s[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val < 64:
-            raise Graph6Error(f"character {ch!r} outside graph6 range", k)
+            raise Graph6Error(f"character {ch!r} outside graph6 range", at + k)
         data = data << 6 | val
     pad = 6 * (expect - 1) - nbits
     if data & ((1 << pad) - 1):
-        raise Graph6Error("nonzero padding bits", expect - 1)
+        raise Graph6Error("nonzero padding bits", at + expect - 1)
     rows = [0] * n
     bit = nbits + pad
     for j in range(1, n):

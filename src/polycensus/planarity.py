@@ -1,15 +1,17 @@
 """Planarity testing and combinatorial embeddings.
 
-``is_planar`` / ``embed`` build an explicit embedding face by face
-(insert one fragment path at a time, always handling a fragment with
-the fewest admissible faces first, per block of the graph), on vertex
-bitmasks.  ``embed`` returns the faces of a 2-connected graph, each a
-vertex walk in a normal form; ``dual``, ``is_polyhedral`` and
-``check`` embed their input once and read the faces as vertex sets,
-which give 3-connectivity and the dual (see ``duality``).  The tests
-check planarity against a direct search for a K5 or K3,3 subdivision
-that knows nothing about embeddings, and the faces against the plain
-embedder this one replaced.
+One helper, ``_plane``, answers planarity and faces together: it runs
+the block search once and builds an explicit embedding of each block
+face by face (insert one fragment path at a time, always handling a
+fragment with the fewest admissible faces first), on vertex bitmasks.
+It returns the faces, each a vertex walk in a normal form, when the
+graph is 2-connected.  ``is_planar`` and ``embed`` read it, and so
+does ``duality._polyhedral``, which serves ``dual``, ``is_polyhedral``,
+``check`` and the complement scan: their input is embedded once, and
+the faces, read as vertex sets, give 3-connectivity and the dual.
+The tests check planarity against a direct search for a K5 or K3,3
+subdivision that knows nothing about embeddings, and the faces against
+the plain embedder this one replaced.
 """
 
 from __future__ import annotations
@@ -234,26 +236,32 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# the one block search and its public entry points
 
-def is_planar(g: Graph) -> bool:
-    """Embedding-based planarity test, embedding each block once.
+def _plane(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """Whether ``g`` is planar, with the faces ``embed`` returns when it
+    is also 2-connected (one block on all p vertices), else None.
 
     More than 3p - 6 edges is impossible for a planar simple graph on
-    p >= 3 vertices.  Any graph on at most 4 vertices or at most 8 edges
-    is planar (a K5 subdivision needs 10 edges, a K3,3 subdivision 9),
-    so such a graph is not embedded.
+    p >= 3 vertices, so such a graph is rejected before the block
+    search; otherwise each block is embedded once.
     """
     if g.p >= 3 and g.q > 3 * g.p - 6:
-        return False
-    if g.p <= 4 or g.q <= 8:
-        return True
+        return False, None
+    pieces = _block_pieces(g)
     try:
-        for vs, adj in _block_pieces(g):
-            _embed_block(vs, adj)
+        walks = [_embed_block(vs, rows) for vs, rows in pieces]
     except NonPlanarGraphError:
-        return False
-    return True
+        return False, None
+    if len(pieces) != 1 or len(pieces[0][0]) != g.p:
+        return True, None
+    least = (min(f[i:] + f[:i] for i in range(len(f))) for f in walks[0])
+    return True, tuple(sorted(least, key=lambda f: (len(f), f)))
+
+
+def is_planar(g: Graph) -> bool:
+    """Embedding-based planarity test, embedding each block once."""
+    return _plane(g)[0]
 
 
 def embed(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -261,15 +269,13 @@ def embed(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Each face is a vertex walk from its least cyclic shift, and the
     faces are sorted by length, then content: ``dual`` numbers its
-    vertices in this order.  Raises ValueError unless ``g`` is
-    2-connected and NonPlanarGraphError on non-planar input.
+    vertices in this order.  Raises NonPlanarGraphError on non-planar
+    input and ValueError on a planar graph that is not 2-connected.
     Deterministic: equal graphs embed identically.
     """
-    pieces = _block_pieces(g)
-    if len(pieces) != 1 or len(pieces[0][0]) != g.p:
+    planar, faces = _plane(g)
+    if not planar:
+        raise NonPlanarGraphError("graph is not planar")
+    if faces is None:
         raise ValueError("embedding requires a 2-connected graph")
-    if g.q > 3 * g.p - 6:
-        raise NonPlanarGraphError("more than 3p - 6 edges")
-    faces = _embed_block(*pieces[0])
-    least = (min(f[i:] + f[:i] for i in range(len(f))) for f in faces)
-    return tuple(sorted(least, key=lambda f: (len(f), f)))
+    return faces

@@ -222,6 +222,26 @@ def test_check_embeds_each_input_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "IheA@GUAo")
     assert code == 0 and out.startswith("planar=false 3-connected=true")
     assert sorted(calls) == ["3c", "embed"]
+    # inputs that are not 2-connected are answered by the same one block
+    # search that embeds each of their blocks
+    pieces = []
+    block_pieces = planarity._block_pieces
+
+    def counting_pieces(g):
+        pieces.append(g)
+        return block_pieces(g)
+
+    monkeypatch.setattr(planarity, "_block_pieces", counting_pieces)
+    k4s = pc.Graph.from_edges(
+        7, [(a, b) for k in (0, 3) for a in range(k, k + 4) for b in range(a + 1, k + 4)]
+    )  # two K4s sharing vertex 3
+    k33 = pc.complete_bipartite(3, 3)
+    hung = pc.Graph.from_edges(8, [*k33.edges(), (0, 6), (6, 7), (7, 0)])
+    for g, planar in ((k4s, "true"), (hung, "false")):
+        pieces.clear()
+        code, out, _ = run(capsys, "check", pc.encode(g))
+        assert code == 0 and out.startswith(f"planar={planar} 3-connected=false")
+        assert len(pieces) == 1, pc.encode(g)
 
 
 def test_check_on_the_largest_inputs(capsys):
@@ -263,6 +283,28 @@ def test_malformed_graph6_reports_position(capsys):
     assert "position 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, blocker",
+    [
+        (["enumerate", "--q", "9", "--out"], "dir"),
+        (["classify", "--report"], "dir"),
+        (["enumerate", "--q", "9", "--format", "dot", "--out"], "file"),
+    ],
+)
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, argv, blocker):
+    # a directory where a file goes, or a file where a directory goes
+    path = tmp_path / "taken"
+    if blocker == "dir":
+        path.mkdir()
+    else:
+        path.write_text("")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: " + (
+        "Is a directory\n" if blocker == "dir" else "File exists\n"
+    )
+
+
 def test_empty_stdin_is_an_input_error(capsys, monkeypatch):
     feed(monkeypatch, "")
     code, _, err = run(capsys, "complement")
@@ -288,13 +330,10 @@ def test_pipeline_chain(capsys, monkeypatch):
 
 
 def test_readme_library_example():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
-    block = block.split("```", 1)[0]
-    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
-    failures = []
-    result = doctest.DocTestRunner().run(test, out=failures.append)
-    assert (result.attempted, result.failed) == (7, 0), "".join(failures)
+    # every >>> example in the README, run as the doctest module reads it
+    readme = Path(__file__).parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert (result.attempted, result.failed) == (7, 0)
 
 
 def test_all_lists_exactly_the_public_names():

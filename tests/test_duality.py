@@ -7,7 +7,7 @@ import polycensus as pc
 from polycensus import NotPolyhedralError, cli, dual, embed, is_polyhedral, is_self_dual
 from polycensus import planarity
 from polycensus.duality import _three_connected_by_faces
-from tests.oracles import brute_3_connected, icosahedron, petersen
+from tests.oracles import brute_3_connected, icosahedron, kuratowski_oracle, petersen
 
 
 def cube():
@@ -199,3 +199,20 @@ def test_face_test_against_brute_force(universe):
         assert verdict == brute_3_connected(g), pc.encode(g)
         verdicts[verdict] += 1
     assert min(verdicts.values()) > 500, verdicts
+
+
+def test_check_and_is_polyhedral_against_the_oracles(universe, capsys):
+    # every graph through 7 vertices: the fields of `check` and
+    # is_polyhedral against the subdivision search and the brute-force
+    # cut search, which know nothing about embeddings or faces
+    assert cli.main(["check", *map(pc.encode, universe)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(universe) == 1252
+    word = {False: "false", True: "true"}
+    for g, line in zip(universe, lines):
+        planar, three = kuratowski_oracle(g), brute_3_connected(g)
+        fields = dict(field.split("=") for field in line.split())
+        assert fields["planar"] == word[planar], pc.encode(g)
+        assert fields["3-connected"] == word[three], pc.encode(g)
+        assert fields["polyhedral"] == word[planar and three], pc.encode(g)
+        assert is_polyhedral(g) == (planar and three), pc.encode(g)

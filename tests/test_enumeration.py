@@ -206,14 +206,15 @@ def test_split_acceptance_ignores_labels():
 
 
 def test_splits_skip_most_canonical_forms(monkeypatch):
-    # the 14 order-8 triangulations have 956 splits; only the 90 at one
-    # vertex per automorphism orbit whose new edge is a best contractible
-    # edge are canonically labelled
+    # the 14 order-8 triangulations have 956 splits; 545 are made, at one
+    # vertex per automorphism orbit, and only the 90 whose new edge is a
+    # best contractible edge are canonically labelled
     _embedded_triangulations(9)  # cached with order 8; not counted
+    splits = _count(monkeypatch, enumeration, "_split")
     forms = _count(monkeypatch, enumeration, "_labelled_search")
     embeds = _count(monkeypatch, planarity, "_embed_block")
     assert _embedded_triangulations.__wrapped__(9) == _embedded_triangulations(9)
-    assert (len(forms), len(embeds)) == (90, 0)
+    assert (len(splits), len(forms), len(embeds)) == (545, 90, 0)
 
 
 def test_census_never_embeds():
@@ -377,7 +378,7 @@ def test_dual_route_neither_embeds_nor_tests(monkeypatch):
     _embedded_census(8)
     embeds = _count(monkeypatch, planarity, "_embed_block")
     tests = _count(monkeypatch, connectivity, "is_3_connected")
-    tests_in_duality = _count(monkeypatch, duality, "_polyhedral_faces")
+    tests_in_duality = _count(monkeypatch, duality, "_polyhedral")
     assert len(enumerate_polyhedra(10, 16)) == 76
     assert (len(embeds), len(tests), len(tests_in_duality)) == (0, 0, 0)
 

@@ -62,6 +62,11 @@ def test_character_out_of_range():
         decode("C!")
     assert exc.value.position == 1
     assert "position 1" in str(exc.value)
+    # positions index the text as given, header and whitespace included
+    for text, position in ((">>graph6<<C!", 11), ("  C!", 3)):
+        with pytest.raises(Graph6Error) as exc:
+            decode(text)
+        assert exc.value.position == position
 
 
 def test_nonzero_padding_rejected():

@@ -24,9 +24,8 @@ this module documents rather than a figure-verified identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .duality import _not_polyhedral, is_polyhedral
 from .enumeration import _dual_certificates, enumerate_by_size
@@ -46,8 +45,7 @@ class UnknownLabelError(KeyError):
     """Raised when a label is not in the catalog."""
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     graph: Graph  # stored in canonical labelling
     certificate: CanonicalForm
@@ -74,11 +72,20 @@ class CatalogEntry:
         return self.graph.degree_sequence()
 
 
-@dataclass(frozen=True, eq=False)
 class Catalog:
-    entries: tuple[CatalogEntry, ...]
-    by_label: dict[str, CatalogEntry]
-    by_certificate: dict[CanonicalForm, CatalogEntry]
+    """The labelled entries with their indexes; compared by identity."""
+
+    __slots__ = ("entries", "by_label", "by_certificate")
+
+    def __init__(
+        self,
+        entries: tuple[CatalogEntry, ...],
+        by_label: dict[str, CatalogEntry],
+        by_certificate: dict[CanonicalForm, CatalogEntry],
+    ) -> None:
+        self.entries = entries
+        self.by_label = by_label
+        self.by_certificate = by_certificate
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -169,6 +176,8 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
                 cert = canonical_form(g)
                 label = f"{q:02d}{g.p:02d}.{nn[g.p]:02d}"
                 label_of[cert] = label
+                # degree d is p - 1 - d in the complement, which needs 3 or more
+                complement_polyhedral = max(map(int.bit_count, g.adj)) <= g.p - 4
                 drafts.append(
                     {
                         "label": label,
@@ -176,7 +185,8 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
                         "certificate": cert,
                         "dual_certificate": dual_cert[g],
                         "self_complementary": is_self_complementary(g),
-                        "complement_polyhedral": is_polyhedral(g.complement()),
+                        "complement_polyhedral": complement_polyhedral
+                        and is_polyhedral(g.complement()),
                     }
                 )
 

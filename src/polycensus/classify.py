@@ -19,8 +19,8 @@ degree-row pruning, and reports the survivors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .catalog import CatalogEntry, build_catalog
 from .duality import _polyhedral
@@ -42,8 +42,7 @@ class ClassificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # stage 1: orders
 
-@dataclass(frozen=True, slots=True)
-class PruneStep:
+class PruneStep(NamedTuple):
     """One order's fate, with the degree window [min_degree, max_degree]
     that a solution of that order would have to respect."""
 
@@ -54,8 +53,7 @@ class PruneStep:
     max_degree: int
 
 
-@dataclass(frozen=True, slots=True)
-class PruneTrace:
+class PruneTrace(NamedTuple):
     steps: tuple[PruneStep, ...]
 
     @property
@@ -117,8 +115,7 @@ def prune_order() -> PruneTrace:
 # ---------------------------------------------------------------------------
 # stage 2: degree rows at order 8
 
-@dataclass(frozen=True, slots=True)
-class CandidateRow:
+class CandidateRow(NamedTuple):
     """A feasible order-8 degree vector with its complement's vector;
     r columns are face counts q - p + 2."""
 
@@ -164,8 +161,7 @@ def candidate_degree_rows() -> tuple[CandidateRow, ...]:
 # ---------------------------------------------------------------------------
 # stage 3: scan the census
 
-@dataclass(frozen=True, slots=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """Outcome of complement-checking one slice of the order-8 census.
 
     A complement failing both checks is counted against planarity.
@@ -180,8 +176,7 @@ class CaseResult:
     solutions: tuple[Graph, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     pruned: bool
     trace: PruneTrace
     candidate_rows: tuple[CandidateRow, ...]

@@ -5,7 +5,6 @@ Also the low-level walk the other modules share: ``bits`` over a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -22,23 +21,26 @@ def bits(mask: int) -> tuple[int, ...]:
     return _LOW[mask & 255] + _HIGH[mask >> 8]
 
 
-@dataclass(frozen=True, slots=True)
 class DegreeSequence:
-    """Weakly decreasing vertex degrees with an even sum."""
+    """Weakly decreasing vertex degrees with an even sum.
 
+    Immutable and compared by value, as ``Graph`` is.
+    """
+
+    __slots__ = ("degrees",)
     degrees: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        degs = self.degrees
-        if not degs:
+    def __init__(self, degrees: tuple[int, ...]) -> None:
+        if not degrees:
             raise ValueError("degree sequence must be non-empty")
-        p = len(degs)
-        if any(d < 0 or d > p - 1 for d in degs):
-            raise ValueError(f"degrees must lie in 0..{p - 1}: {degs}")
-        if any(degs[i] < degs[i + 1] for i in range(p - 1)):
-            raise ValueError(f"degree sequence must be weakly decreasing: {degs}")
-        if sum(degs) % 2:
-            raise ValueError(f"degree sum must be even: {degs}")
+        p = len(degrees)
+        if any(d < 0 or d > p - 1 for d in degrees):
+            raise ValueError(f"degrees must lie in 0..{p - 1}: {degrees}")
+        if any(degrees[i] < degrees[i + 1] for i in range(p - 1)):
+            raise ValueError(f"degree sequence must be weakly decreasing: {degrees}")
+        if sum(degrees) % 2:
+            raise ValueError(f"degree sum must be even: {degrees}")
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def p(self) -> int:
@@ -76,15 +78,45 @@ class DegreeSequence:
     def __getitem__(self, i: int) -> int:
         return self.degrees[i]
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degrees == other.degrees
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return hash((self.degrees,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(degrees={self.degrees!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.degrees,)
+
+
 class Graph:
-    """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of vertex ``v``."""
+    """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of vertex ``v``.
 
+    Immutable and compared by value: equal when of the same class with
+    equal fields, hashed as the tuple of its fields.
+    """
+
+    __slots__ = ("p", "adj")
     p: int
     adj: tuple[int, ...]
 
+    def __init__(self, p: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """The checks every public construction makes; ``_derived`` skips them."""
         p, adj = self.p, self.adj
         if not isinstance(p, int) or not 1 <= p <= MAX_VERTICES:
             raise ValueError(f"order must be 1..{MAX_VERTICES}, got {p!r}")
@@ -106,12 +138,33 @@ class Graph:
         """A graph on rows the package built from a valid graph, unchecked.
 
         Only for rows that cannot break the invariants ``__post_init__``
-        checks: an edge removed, a permutation applied, a vertex split.
+        checks: an edge removed, a permutation applied, a vertex split, a
+        complement.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "p", p)
         object.__setattr__(g, "adj", adj)
         return g
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.adj) == (other.p, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.adj))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(p={self.p!r}, adj={self.adj!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.p, self.adj)
 
     @classmethod
     def from_edges(cls, p: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -166,7 +219,7 @@ class Graph:
 
     def complement(self) -> Graph:
         full = (1 << self.p) - 1
-        return Graph(
+        return Graph._derived(
             self.p,
             tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)),
         )

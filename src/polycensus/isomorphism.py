@@ -55,14 +55,13 @@ search of each dual with its primal's automorphisms, carried to faces.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, bits
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Relabeling-invariant certificate; equal certificates <=> isomorphic."""
 
     certificate: bytes
@@ -275,4 +274,5 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def is_self_complementary(g: Graph) -> bool:
-    return are_isomorphic(g, g.complement())
+    # the graph and its complement split the p(p - 1)/2 pairs between them
+    return 4 * g.q == g.p * (g.p - 1) and are_isomorphic(g, g.complement())

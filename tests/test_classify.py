@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -125,12 +124,10 @@ def test_solutions_properties():
 
 def test_validate_report_rejects_tampering():
     report = solve_question()
-    broken = dataclasses.replace(report, solutions=report.solutions[:2])
+    broken = report._replace(solutions=report.solutions[:2])
     with pytest.raises(ClassificationError):
         validate_report(broken)
-    broken = dataclasses.replace(
-        report, trace=dataclasses.replace(report.trace, steps=report.trace.steps[:4])
-    )
+    broken = report._replace(trace=report.trace._replace(steps=report.trace.steps[:4]))
     with pytest.raises(ClassificationError):
         validate_report(broken)
 

@@ -142,6 +142,39 @@ def test_output_bytes_ignore_the_hash_seed(tmp_path):
     assert hashlib.sha256(outputs.pop()[2]).hexdigest() == REPORT_SHA256
 
 
+def test_cold_classify(tmp_path):
+    # one cold `classify --no-prune` process, as a reader runs it: the
+    # package loads without dataclasses (and the inspect module it
+    # imports), and the catalog embeds no complement that has a vertex
+    # of degree below 3
+    script = """
+import sys
+before = set(sys.modules)
+from polycensus import planarity
+embed_block, embeds = planarity._embed_block, []
+planarity._embed_block = lambda vs, adj: embeds.append(vs) or embed_block(vs, adj)
+import polycensus.cli
+seen = [set(sys.modules) - before]
+code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
+seen.append(set(sys.modules) - before)
+print([sorted({"dataclasses", "inspect"} & s) for s in seen], code, len(embeds))
+"""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(report)],
+        env=env,
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.splitlines()[-1] == "[[], []] 0 311"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
+
+
 def test_complement_pipeline(capsys, monkeypatch):
     feed(monkeypatch, "C~\n")
     code, out, _ = run(capsys, "complement")

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -76,8 +79,36 @@ def test_public_construction_checks_what_derived_graphs_skip():
     with pytest.raises(ValueError, match="order must be 1..16"):
         pc.dual(icosahedron())  # the dodecahedron: 20 vertices
     g = pc.wheel(5)
-    for h in (g.remove_edge(0, 5), g.relabel((5, 4, 3, 2, 1, 0))):
+    for h in (g.remove_edge(0, 5), g.relabel((5, 4, 3, 2, 1, 0)), g.complement()):
         assert h == Graph(h.p, h.adj)
+
+
+def test_value_semantics():
+    """Graphs, degree sequences and certificates are immutable values:
+    equal by fields, hashed as the tuple of their fields."""
+    g = pc.cycle(4)
+    cf = pc.canonical_form(g)
+    cases = [
+        (g, {"p": 4, "adj": (0b1010, 0b0101, 0b1010, 0b0101)}),
+        (g.degree_sequence(), {"degrees": (2, 2, 2, 2)}),
+        (cf, {"certificate": cf.certificate}),
+    ]
+    for value, fields in cases:
+        cls = type(value)
+        assert cls(*fields.values()) == value == cls(**fields)
+        assert hash(value) == hash(tuple(fields.values()))
+        shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(value) == f"{cls.__name__}({shown})"
+        assert pickle.loads(pickle.dumps(value)) == value == copy.copy(value)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[name])
+    assert g != pc.path(4) and g != Graph(5, (0,) * 5)
+    assert g.degree_sequence() != DegreeSequence((2, 2, 1, 1))
+    # no equality across classes with the same fields
+    assert g != (4, g.adj) and DegreeSequence((0,)) != (0,)
+    with pytest.raises(AttributeError):
+        del g.p
 
 
 def test_add_remove_edge():

@@ -185,6 +185,7 @@ def test_is_self_complementary():
 
 def test_self_complementary_needs_quarter_of_pairs(universe):
     for g in universe:
+        assert pc.is_self_complementary(g) == brute_isomorphic(g, g.complement())
         if pc.is_self_complementary(g):
             assert 4 * g.q == g.p * (g.p - 1)
             assert g.p % 4 in (0, 1)

@@ -10,7 +10,6 @@ degree sequence 44443333, exactly one of which is not self-dual.
 from .catalog import (
     Catalog,
     CatalogEntry,
-    UnknownLabelError,
     assemble,
     build_catalog,
     catalog_to_json,
@@ -32,7 +31,7 @@ from .classify import (
     verify_planar_complement_bound,
     verify_remark_8_14,
 )
-from .connectivity import is_3_connected, is_connected
+from .connectivity import is_3_connected
 from .duality import NotPolyhedralError, dual, is_polyhedral, is_self_dual
 from .enumeration import (
     MAX_ENUM_ORDER,
@@ -51,7 +50,6 @@ from .graphs import (
     complete_bipartite,
     complete_multipartite,
     cycle,
-    empty_graph,
     path,
     wheel,
 )
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Catalog",
     "CatalogEntry",
-    "UnknownLabelError",
     "assemble",
     "build_catalog",
     "catalog_to_json",
@@ -90,7 +87,6 @@ __all__ = [
     "verify_planar_complement_bound",
     "verify_remark_8_14",
     "is_3_connected",
-    "is_connected",
     "NotPolyhedralError",
     "dual",
     "is_polyhedral",
@@ -111,7 +107,6 @@ __all__ = [
     "complete_bipartite",
     "complete_multipartite",
     "cycle",
-    "empty_graph",
     "path",
     "wheel",
     "CanonicalForm",

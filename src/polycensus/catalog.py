@@ -10,10 +10,13 @@ Units at the same order put self-duals first, then sort by decreasing
 degree sequence, the partner's degree sequence, and finally the
 canonical certificate, which settles anything left.
 
-Duals come from the census, not from ``dual``: the census keeps the
+Certificates and duals come from the census, not from a search or
+``dual`` here: the census stores every class in its canonical
+labelling, so a class's certificate is its own bits, and keeps the
 dual of every class of a cell, read off the faces it carries with the
-class, and both its dual-side cells and this module read that one
-cached pairing, so no catalog class is embedded or tested again.
+class.  Both its dual-side cells and this module read that one cached
+pairing, so no catalog class is searched, embedded or tested again;
+only a member given in some other labelling is labelled canonically.
 
 The three graphs whose complements are again polyhedral also carry the
 names they go by in the published census of that classification; the
@@ -28,21 +31,12 @@ from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .duality import _not_polyhedral, is_polyhedral
-from .enumeration import _dual_certificates, enumerate_by_size
+from .enumeration import _certificates, enumerate_by_size
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
-from .isomorphism import (
-    CanonicalForm,
-    canonical_form,
-    canonical_graph,
-    is_self_complementary,
-)
+from .isomorphism import CanonicalForm, canonical_form, canonical_graph
 
 PUBLISHED_NAMES = ("g_1408.12", "g_1408.13", "g_1408.39")
-
-
-class UnknownLabelError(KeyError):
-    """Raised when a label is not in the catalog."""
 
 
 class CatalogEntry(NamedTuple):
@@ -73,18 +67,16 @@ class CatalogEntry(NamedTuple):
 
 
 class Catalog:
-    """The labelled entries with their indexes; compared by identity."""
+    """The labelled entries, indexed by certificate; compared by identity."""
 
-    __slots__ = ("entries", "by_label", "by_certificate")
+    __slots__ = ("entries", "by_certificate")
 
     def __init__(
         self,
         entries: tuple[CatalogEntry, ...],
-        by_label: dict[str, CatalogEntry],
         by_certificate: dict[CanonicalForm, CatalogEntry],
     ) -> None:
         self.entries = entries
-        self.by_label = by_label
         self.by_certificate = by_certificate
 
     def __len__(self) -> int:
@@ -93,27 +85,15 @@ class Catalog:
     def __iter__(self) -> Iterator[CatalogEntry]:
         return iter(self.entries)
 
-    def lookup(self, label: str) -> CatalogEntry:
-        try:
-            return self.by_label[label]
-        except KeyError:
-            raise UnknownLabelError(label) from None
 
-    def entry_of(self, g: Graph) -> CatalogEntry | None:
-        return self.by_certificate.get(canonical_form(g))
-
-    def block(self, q: int, p: int) -> tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries if e.q == q and e.p == p)
-
-    def complement_polyhedral_entries(self) -> tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries if e.complement_polyhedral)
+_Certs = dict[Graph, tuple[CanonicalForm, CanonicalForm]]
 
 
-def _member_key(g: Graph, partner: Graph) -> tuple:
+def _member_key(g: Graph, partner: Graph, certs: _Certs) -> tuple:
     return (
         tuple(-d for d in g.degree_sequence()),
         tuple(-d for d in partner.degree_sequence()),
-        canonical_form(g).certificate,
+        certs[g][0].certificate,
     )
 
 
@@ -121,47 +101,51 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
     """Order a duality-closed set of polyhedral graphs and label it.
 
     The input must contain the dual of each of its members (up to
-    isomorphism), or dual_label could not be filled in.  Each dual is
-    read from the census, so a member that is not polyhedral raises
-    NotPolyhedralError, and one whose order p and dual order q - p + 2
-    both exceed MAX_ENUM_ORDER raises the ValueError of
-    ``enumerate_polyhedra``.
+    isomorphism), or dual_label could not be filled in.  Each member's
+    certificate and its dual's are read from the census, so a member
+    that is not polyhedral raises NotPolyhedralError, and one whose
+    order p and dual order q - p + 2 both exceed MAX_ENUM_ORDER raises
+    the ValueError of ``enumerate_polyhedra``.  A member that is already
+    a census class, as every one ``enumerate_by_size`` returns is, is
+    found by value; any other is labelled canonically first.
     """
+    cells: set[tuple[int, int]] = set()
+    certs: _Certs = {}  # class -> (certificate, dual's certificate)
     by_size: dict[int, dict[CanonicalForm, Graph]] = {}
     for g in graphs:
-        cg = canonical_graph(g)
-        by_size.setdefault(cg.q, {})[canonical_form(cg)] = cg
+        if (g.p, g.q) not in cells:
+            cells.add((g.p, g.q))
+            certs.update(_certificates(g.p, g.q))
+        if g not in certs:
+            g = canonical_graph(g)
+            # the census holds every polyhedral class of its cells
+            if g not in certs:
+                raise _not_polyhedral(g)
+        by_size.setdefault(g.q, {})[certs[g][0]] = g
 
     drafts: list[dict] = []
     label_of: dict[CanonicalForm, str] = {}
     for q in sorted(by_size):
         group = by_size[q]
-        dual_cert: dict[Graph, CanonicalForm] = {}
-        for p in sorted({g.p for g in group.values()}):
-            dual_cert.update(_dual_certificates(p, q))
-        for g in group.values():
-            # the census holds every polyhedral class of its cells
-            if g not in dual_cert:
-                raise _not_polyhedral(g)
         units = []
         seen: set[CanonicalForm] = set()
         for cert in sorted(group, key=lambda c: c.certificate):
             if cert in seen:
                 continue
             g = group[cert]
-            cd = dual_cert[g]
+            cd = certs[g][1]
             if cd == cert:
-                units.append((g.p, 0, _member_key(g, g), (g,)))
+                units.append((g.p, 0, _member_key(g, g, certs), (g,)))
                 seen.add(cert)
             elif cd in group:
                 b = group[cd]
                 if g.p != b.p:
                     a, b = (g, b) if g.p < b.p else (b, g)
-                elif _member_key(g, b) > _member_key(b, g):
+                elif _member_key(g, b, certs) > _member_key(b, g, certs):
                     a, b = b, g
                 else:
                     a = g
-                units.append((a.p, 1, _member_key(a, b), (a, b)))
+                units.append((a.p, 1, _member_key(a, b, certs), (a, b)))
                 seen.update((cert, cd))
             else:
                 raise ValueError(
@@ -173,20 +157,27 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
         for unit in units:
             for g in unit[3]:
                 nn[g.p] = nn.get(g.p, 0) + 1
-                cert = canonical_form(g)
+                cert, dual_cert = certs[g]
                 label = f"{q:02d}{g.p:02d}.{nn[g.p]:02d}"
                 label_of[cert] = label
                 # degree d is p - 1 - d in the complement, which needs 3 or more
-                complement_polyhedral = max(map(int.bit_count, g.adj)) <= g.p - 4
+                complement_polyhedral = (
+                    max(map(int.bit_count, g.adj)) <= g.p - 4
+                    and is_polyhedral(g.complement())
+                )
+                # a polyhedral graph isomorphic to its complement has a
+                # polyhedral complement, so only those few are searched
+                self_complementary = (
+                    complement_polyhedral and canonical_form(g.complement()) == cert
+                )
                 drafts.append(
                     {
                         "label": label,
                         "graph": g,
                         "certificate": cert,
-                        "dual_certificate": dual_cert[g],
-                        "self_complementary": is_self_complementary(g),
-                        "complement_polyhedral": complement_polyhedral
-                        and is_polyhedral(g.complement()),
+                        "dual_certificate": dual_cert,
+                        "self_complementary": self_complementary,
+                        "complement_polyhedral": complement_polyhedral,
                     }
                 )
 
@@ -218,9 +209,7 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
 
 def assemble(entries: tuple[CatalogEntry, ...]) -> Catalog:
     return Catalog(
-        entries=entries,
-        by_label={e.label: e for e in entries},
-        by_certificate={e.certificate: e for e in entries},
+        entries=entries, by_certificate={e.certificate: e for e in entries}
     )
 
 

@@ -31,7 +31,7 @@ from .enumeration import (
 )
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
-from .isomorphism import canonical_form, canonical_graph
+from .isomorphism import CanonicalForm, canonical_form
 from .planarity import is_planar
 
 
@@ -287,13 +287,12 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
             continue
         winners.append(g)
         found[canonical_form(g)] = g
-        cc = canonical_graph(c)  # the complement is then a solution too
-        found[canonical_form(cc)] = cc
+        found[canonical_form(c)] = c  # the complement is then a solution too
     return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 
 
-def _entry(g: Graph) -> CatalogEntry:
-    entry = build_catalog().by_certificate.get(canonical_form(g))
+def _entry(cert: CanonicalForm, g: Graph) -> CatalogEntry:
+    entry = build_catalog().by_certificate.get(cert)
     if entry is None:
         raise ClassificationError(f"solution {encode(g)} falls outside the catalog")
     return entry
@@ -321,7 +320,7 @@ def solve_question(prune: bool = True) -> ClassificationReport:
         for q in range(12, 17):
             cases.append(_scan(8, q, None, enumerate_polyhedra(8, q), found))
     solutions = tuple(
-        sorted((_entry(g) for g in found.values()), key=lambda e: e.label)
+        sorted((_entry(*item) for item in found.items()), key=lambda e: e.label)
     )
     return ClassificationReport(prune, trace, rows, tuple(cases), solutions)
 

@@ -40,10 +40,6 @@ def _connected_within(adj: tuple[int, ...], mask: int) -> bool:
     return seen == mask
 
 
-def is_connected(g: Graph) -> bool:
-    return _connected_within(g.adj, (1 << g.p) - 1)
-
-
 def is_3_connected(g: Graph) -> bool:
     """True iff ``g`` has more than 3 vertices and no cut set of size < 3."""
     p, adj = g.p, g.adj

@@ -19,7 +19,8 @@ Production route, per order p:
   Each dual is read off the faces carried with its class (below): one
   vertex per face, one edge across each edge.  These are the faces of
   every embedding, so no class is tested or embedded again.  The
-  catalog reads its duals from the same cached pairing.
+  catalog reads its duals, and every certificate, from the same cached
+  pairing (``_certificates``).
 
 Each class carries its faces, each the bitmask of its vertices, and
 nothing is ever embedded or walked.  A polyhedral graph has one
@@ -141,7 +142,7 @@ from typing import TypeVar
 
 from .duality import _face_graph, _faces_through
 from .graphs import DegreeSequence, Graph, bits, complete
-from .isomorphism import CanonicalForm, _labelled_search, canonical_form
+from .isomorphism import CanonicalForm, _certificate, _labelled_search
 
 MAX_ENUM_ORDER = 9
 
@@ -481,16 +482,26 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     return tuple(g for g, _, _ in _embedded_census(p)[q])
 
 
-def _dual_certificates(p: int, q: int) -> dict[Graph, CanonicalForm]:
-    """class -> certificate of its dual, for every class of the cell
-    (p, q); raises ValueError where ``enumerate_polyhedra`` does."""
+def _certificates(p: int, q: int) -> dict[Graph, tuple[CanonicalForm, CanonicalForm]]:
+    """class -> (its certificate, its dual's certificate), for every class
+    of the cell (p, q); raises ValueError where ``enumerate_polyhedra``
+    does.
+
+    Every class, on either side of the self-dual line, is stored in its
+    canonical labelling, under which its packed adjacency bits are the
+    least; its own certificate is read off those bits with no search.
+    The dual's certificate is the one ``_dual_pairs`` searched for."""
     if not enumerate_polyhedra(p, q):
         return {}
+
+    def own(h: Graph) -> CanonicalForm:
+        return _certificate(h, tuple(range(h.p)))
+
     r = q - p + 2
     if r < p:
         # duality is an involution: the classes here are the duals
-        return {d: canonical_form(h) for h, _, d in _dual_pairs(r, q)}
-    return {h: c for h, c, _ in _dual_pairs(p, q)}
+        return {d: (c, own(h)) for h, c, d in _dual_pairs(r, q)}
+    return {h: (own(h), c) for h, c, _ in _dual_pairs(p, q)}
 
 
 def enumerate_by_size(q: int) -> dict[int, tuple[Graph, ...]]:

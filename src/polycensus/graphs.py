@@ -246,10 +246,6 @@ class Graph:
 # ====== Named constructions ======
 
 
-def empty_graph(p: int) -> Graph:
-    return Graph(p, (0,) * p)
-
-
 def complete(p: int) -> Graph:
     full = (1 << p) - 1
     return Graph(p, tuple(full ^ (1 << v) for v in range(p)))

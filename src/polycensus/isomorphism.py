@@ -70,10 +70,6 @@ class CanonicalForm(NamedTuple):
     def hex(self) -> str:
         return self.certificate.hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> CanonicalForm:
-        return cls(bytes.fromhex(text))
-
     @property
     def p(self) -> int:
         return self.certificate[0]

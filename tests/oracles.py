@@ -17,7 +17,6 @@ from polycensus import (
     NonPlanarGraphError,
     canonical_form,
     canonical_graph,
-    empty_graph,
     is_3_connected,
     is_planar,
 )
@@ -25,6 +24,10 @@ from polycensus import (
 # classes of simple graphs on 1..7 unlabeled vertices, a published
 # sequence; pins the universe builder and the canonical form at once
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def empty_graph(p: int) -> Graph:
+    return Graph(p, (0,) * p)
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:

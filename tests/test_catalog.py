@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import polycensus as pc
 from polycensus import (
     NotPolyhedralError,
-    UnknownLabelError,
     assemble,
     build_catalog,
     catalog_to_json,
@@ -17,6 +17,7 @@ from polycensus import (
     order_census,
     planarity,
 )
+from tests.oracles import empty_graph
 
 BLOCK_COUNTS = {
     (6, 4): 1,
@@ -30,13 +31,17 @@ BLOCK_COUNTS = {
 }
 
 
+def by_label(catalog):
+    return {e.label: e for e in catalog.entries}
+
+
 def test_catalog_size_and_blocks(catalog):
     assert len(catalog) == 102
     got = {}
     for e in catalog:
         got[e.q, e.p] = got.get((e.q, e.p), 0) + 1
     assert got == BLOCK_COUNTS
-    assert len(catalog.block(14, 8)) == 42
+    assert len([e for e in catalog.entries if (e.q, e.p) == (14, 8)]) == 42
 
 
 def test_labels_well_formed(catalog):
@@ -57,8 +62,9 @@ def test_entry_invariants(catalog):
 
 
 def test_dual_label_involution(catalog):
+    labelled = by_label(catalog)
     for e in catalog:
-        partner = catalog.lookup(e.dual_label)
+        partner = labelled[e.dual_label]
         assert partner.dual_label == e.label
         assert pc.are_isomorphic(pc.dual(e.graph), partner.graph)
 
@@ -96,17 +102,8 @@ def test_listing_respects_degree_order(catalog):
     assert rows == sorted(rows, reverse=True)
 
 
-def test_lookup(catalog):
-    e = catalog.lookup("1408.01")
-    assert e.p == 8 and e.q == 14
-    with pytest.raises(UnknownLabelError):
-        catalog.lookup("9999.99")
-    assert catalog.entry_of(e.graph) is e
-    assert catalog.entry_of(pc.complete(5)) is None
-
-
 def test_published_names(catalog):
-    flagged = catalog.complement_polyhedral_entries()
+    flagged = [e for e in catalog.entries if e.complement_polyhedral]
     assert [e.published_name for e in flagged] == [
         "g_1408.12", "g_1408.13", "g_1408.39",
     ]
@@ -178,6 +175,35 @@ def test_catalog_duals_come_from_the_census(monkeypatch):
     assert [e.dual_label for e in fresh] == [e.dual_label for e in build_catalog()]
 
 
+def test_order_census_labels_relabelled_input(catalog):
+    # members in some other labelling than the census's are labelled
+    # canonically first and land on the very entries build_catalog gives
+    rng = random.Random(16)
+    relabelled = []
+    for e in catalog:
+        perm = list(range(e.p))
+        rng.shuffle(perm)
+        relabelled.append(e.graph.relabel(tuple(perm)))
+    moved = sum(g != e.graph for g, e in zip(relabelled, catalog.entries))
+    assert moved > len(catalog) * 9 // 10
+    rng.shuffle(relabelled)
+    assert order_census(relabelled) == catalog.entries
+
+
+@pytest.mark.parametrize("q", [15, 16, 17])
+def test_census_certificates_beyond_the_catalog(q):
+    # the certificates read off the census, on both sides of the self-dual
+    # line, are the ones a search gives, for each class and for its dual
+    entries = order_census(
+        g for classes in pc.enumerate_by_size(q).values() for g in classes
+    )
+    labelled = {e.label: e for e in entries}
+    for e in entries:
+        assert e.certificate == pc.canonical_form(e.graph)
+        partner = labelled[e.dual_label]
+        assert partner.certificate == pc.canonical_form(pc.dual(e.graph))
+
+
 def test_order_census_no_published_names_without_the_trio(catalog):
     small = [e.graph for e in catalog if e.q <= 10]
     entries = order_census(small)
@@ -216,7 +242,7 @@ def test_dot_export(catalog):
         'graph "k4" {\n  0 -- 1;\n  0 -- 2;\n  0 -- 3;\n'
         "  1 -- 2;\n  1 -- 3;\n  2 -- 3;\n}\n"
     )
-    lonely = dot_document([("dot", pc.empty_graph(2))])
+    lonely = dot_document([("dot", empty_graph(2))])
     assert "  0;\n  1;\n" in lonely
 
 
@@ -224,16 +250,21 @@ def test_assemble_and_graph6_lines(catalog):
     text = graph6_lines([pc.complete(4), pc.cycle(5)])
     assert text == "C~\nDhc\n"
     rebuilt = assemble(catalog.entries)
-    assert rebuilt.lookup("1408.01").certificate == catalog.lookup("1408.01").certificate
+    assert (
+        by_label(rebuilt)["1408.01"].certificate
+        == by_label(catalog)["1408.01"].certificate
+    )
 
 
 def test_solution_lookup_by_label(catalog):
     # the three labels the classification reports resolve here, and
     # their complements are in the catalog too
     report = pc.solve_question()
+    labelled = by_label(catalog)
+    by_certificate = {e.certificate: e for e in catalog.entries}
     for e in report.solutions:
-        entry = catalog.lookup(e.label)
+        entry = labelled[e.label]
         assert entry.complement_polyhedral
-        comp_entry = catalog.entry_of(entry.graph.complement())
+        comp_entry = by_certificate.get(pc.canonical_form(entry.graph.complement()))
         assert comp_entry is not None
         assert comp_entry.label == entry.label  # self-complementary

@@ -146,18 +146,22 @@ def test_cold_classify(tmp_path):
     # one cold `classify --no-prune` process, as a reader runs it: the
     # package loads without dataclasses (and the inspect module it
     # imports), and the catalog embeds no complement that has a vertex
-    # of degree below 3
+    # of degree below 3 and searches no class for a certificate the
+    # census already holds
     script = """
 import sys
 before = set(sys.modules)
-from polycensus import planarity
+from polycensus import isomorphism, planarity
 embed_block, embeds = planarity._embed_block, []
 planarity._embed_block = lambda vs, adj: embeds.append(vs) or embed_block(vs, adj)
+search, searches = isomorphism._search, []
+isomorphism._search = lambda p, *rest: searches.append(p) or search(p, *rest)
 import polycensus.cli
 seen = [set(sys.modules) - before]
 code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
 seen.append(set(sys.modules) - before)
 print([sorted({"dataclasses", "inspect"} & s) for s in seen], code, len(embeds))
+print(len(searches))
 """
     src = str(Path(pc.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -171,7 +175,9 @@ print([sorted({"dataclasses", "inspect"} & s) for s in seen], code, len(embeds))
         text=True,
         timeout=120,
     ).stdout
-    assert out.splitlines()[-1] == "[[], []] 0 311"
+    *_, verdict, searches = out.splitlines()
+    assert verdict == "[[], []] 0 311"
+    assert int(searches) <= 520  # 633 when the catalog searched each class
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
 
 

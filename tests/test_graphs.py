@@ -8,7 +8,7 @@ import polycensus as pc
 from polycensus import DegreeSequence, Graph
 from polycensus.graphs import bits
 from tests import strategies
-from tests.oracles import icosahedron
+from tests.oracles import empty_graph, icosahedron
 
 
 def test_from_edges_roundtrip():
@@ -112,7 +112,7 @@ def test_value_semantics():
 
 
 def test_add_remove_edge():
-    g = pc.empty_graph(3)
+    g = empty_graph(3)
     h = g.add_edge(0, 2)
     assert h.q == 1 and g.q == 0  # immutable
     assert h.remove_edge(0, 2) == g
@@ -123,7 +123,7 @@ def test_add_remove_edge():
 
 
 def test_complement():
-    assert pc.complete(4).complement() == pc.empty_graph(4)
+    assert pc.complete(4).complement() == empty_graph(4)
     c5 = pc.cycle(5)
     assert c5.complement().degree_sequence() == DegreeSequence((2, 2, 2, 2, 2))
     assert c5.complement().complement() == c5

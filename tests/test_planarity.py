@@ -6,6 +6,7 @@ import polycensus as pc
 from polycensus import NonPlanarGraphError, NotPolyhedralError, dual, embed, is_planar
 from polycensus import planarity
 from tests.oracles import (
+    empty_graph,
     icosahedron,
     kuratowski_oracle,
     plain_embed_block,
@@ -111,7 +112,7 @@ def test_embed_handles_cut_vertices_and_bridges():
         6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
     )
     star = pc.Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    for g in (bridged, star, pc.empty_graph(1), pc.complete(2)):
+    for g in (bridged, star, empty_graph(1), pc.complete(2)):
         with pytest.raises(ValueError, match="2-connected"):
             embed(g)
         with pytest.raises(NotPolyhedralError):

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .catalog import CatalogEntry, build_catalog
 from .duality import _polyhedral
 from .enumeration import (
+    _certificates,
     enumerate_polyhedra,
     filter_by_degree_sequence,
     triangulations,
@@ -286,7 +287,8 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
             not_3conn += 1
             continue
         winners.append(g)
-        found[canonical_form(g)] = g
+        # g is a stored census class: the census holds its certificate
+        found[_certificates(p, q)[g][0]] = g
         found[canonical_form(c)] = c  # the complement is then a solution too
     return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import Graph, bits
+from .graphs import _BIT, Graph, bits
 from .isomorphism import are_isomorphic
 from .planarity import _plane
 
@@ -41,7 +41,7 @@ def _polyhedral(g: Graph) -> tuple[bool, list[int] | None]:
     planar, walks = _plane(g)
     if walks is None:
         return planar, None
-    faces = [sum(1 << x for x in f) for f in walks]
+    faces = [sum(map(_BIT.__getitem__, f)) for f in walks]
     return True, faces if _three_connected_by_faces(g, faces) else None
 
 

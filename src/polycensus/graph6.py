@@ -7,7 +7,7 @@ of the adjacency matrix follows in column order -- (0,1), (0,2), (1,2),
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, bits
 
 HEADER = ">>graph6<<"
 
@@ -22,22 +22,20 @@ class Graph6Error(ValueError):
         self.position = position
 
 
+# the pairs i < j in column order, one bit each
+_PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
+
+
 def encode(g: Graph) -> str:
-    out = [chr(63 + g.p)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.p):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    p, adj = g.p, g.adj
+    # each group starts at 63, and each edge adds its bit to its group
+    groups = [63] * ((p * (p - 1) // 2 + 5) // 6)
+    for j in range(1, p):
+        base = j * (j - 1) // 2
+        for i in bits(adj[j] & ((1 << j) - 1)):
+            t = base + i
+            groups[t // 6] += 32 >> t % 6
+    return chr(63 + p) + bytes(groups).decode()
 
 
 def decode(text: str) -> Graph:
@@ -63,22 +61,23 @@ def decode(text: str) -> Graph:
             f"expected {expect} characters for order {n}, got {len(s)}",
             at + min(len(s), expect),
         )
-    # the 6-bit groups as one integer, the first bit highest
+    body = s[1:]
+    if body and (min(body) < "?" or max(body) > "~"):
+        k = 1 + next(k for k, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {s[k]!r} outside graph6 range", at + k)
+    # the 6-bit groups as one integer, the first bit highest, so pair t
+    # is bit size - 1 - t
     data = 0
-    for k, ch in enumerate(s[1:], start=1):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise Graph6Error(f"character {ch!r} outside graph6 range", at + k)
-        data = data << 6 | val
-    pad = 6 * (expect - 1) - nbits
-    if data & ((1 << pad) - 1):
+    for byte in body.encode():
+        data = data << 6 | byte - 63
+    size = 6 * len(body)
+    if data & ((1 << size - nbits) - 1):
         raise Graph6Error("nonzero padding bits", at + expect - 1)
     rows = [0] * n
-    bit = nbits + pad
-    for j in range(1, n):
-        for i in range(j):
-            bit -= 1
-            if data >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    while data:
+        low = data & -data
+        data ^= low
+        i, j = _PAIRS[size - low.bit_length()]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return Graph(n, tuple(rows))

@@ -16,6 +16,10 @@ _LOW = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
 _HIGH = tuple(tuple(i + 8 for i in range(8) if m >> i & 1) for m in range(256))
 
 
+# 1 << v for every vertex v, to sum vertex masks without a generator
+_BIT = tuple(1 << v for v in range(MAX_VERTICES))
+
+
 def bits(mask: int) -> tuple[int, ...]:
     """Set bit positions of ``mask``, lowest first; ``0 <= mask < 1 << 16``."""
     return _LOW[mask & 255] + _HIGH[mask >> 8]
@@ -181,7 +185,7 @@ class Graph:
     @property
     def q(self) -> int:
         """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

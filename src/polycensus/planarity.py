@@ -3,9 +3,10 @@
 One helper, ``_plane``, answers planarity and faces together: it runs
 the block search once and builds an explicit embedding of each block
 face by face (insert one fragment path at a time, always handling a
-fragment with the fewest admissible faces first), on vertex bitmasks.
-It returns the faces, each a vertex walk in a normal form, when the
-graph is 2-connected.  ``is_planar`` and ``embed`` read it, and so
+fragment with the fewest admissible faces first), on bitmasks, each
+vertex holding the mask of the faces through it.  It returns the
+faces, each a vertex walk in a normal form, when the graph is
+2-connected.  ``is_planar`` and ``embed`` read it, and so
 does ``duality._polyhedral``, which serves ``dual``, ``is_polyhedral``,
 ``check`` and the complement scan: their input is embedded once, and
 the faces, read as vertex sets, give 3-connectivity and the dual.
@@ -16,9 +17,7 @@ the plain embedder this one replaced.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-from .graphs import Graph, bits
+from .graphs import _BIT, Graph, bits
 
 
 class NonPlanarGraphError(ValueError):
@@ -49,11 +48,13 @@ def _block_pieces(g: Graph) -> list[tuple[list[int], list[int]]]:
             if index[u] >= 0:
                 if index[u] < index[v]:
                     stack.append((v, u))
-                    least = min(least, index[u])
+                    if index[u] < least:
+                        least = index[u]
                 continue
             stack.append((v, u))
             low_u = dfs(u, v)
-            least = min(least, low_u)
+            if low_u < least:
+                least = low_u
             if low_u >= index[v]:
                 rows = [0] * p
                 edges = 0
@@ -104,14 +105,10 @@ def _find_cycle(vs: list[int], adj: list[int]) -> list[int]:
     raise AssertionError("no cycle in a 2-connected block")
 
 
-def _fragments(
-    adj: list[int], emb: list[int], placed: int, left: int
-) -> Iterator[tuple[int, int]]:
-    """Pieces of the block not yet embedded, as (attachments, interior)
-    vertex masks: chords by (v, u), then components by least vertex."""
-    for v in bits(placed):
-        for u in bits(adj[v] & ~emb[v] & placed & -(2 << v)):
-            yield 1 << v | 1 << u, 0
+def _components(adj: list[int], placed: int, left: int) -> list[tuple[int, int]]:
+    """The components of the unplaced vertices in ``left``, as
+    (attachments, vertices) masks, by least vertex."""
+    out = []
     while left:
         comp = frontier = left & -left
         att = 0
@@ -123,7 +120,14 @@ def _fragments(
             frontier = reach & left & ~comp
             comp |= frontier
         left &= ~comp
-        yield att, comp
+        out.append((att, comp))
+    return out
+
+
+def _fragment_order(frag: tuple[int, int]) -> tuple[int, ...]:
+    """Chords (no interior) by (v, u), then components by least vertex."""
+    att, comp = frag
+    return (1, comp & -comp) if comp else (0, att & -att, att)
 
 
 def _fragment_path(att: int, comp: int, adj: list[int], placed: int) -> list[int]:
@@ -164,8 +168,16 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
     attachments), and draw a path of it across the lowest-index such
     face, which splits in two.  On a planar block some fragment always
     has an admissible face, and embedding a fragment with exactly one
-    is forced.  Each face keeps its vertex mask beside its walk, so a
-    face is admissible when ``not att & ~mask``.
+    is forced.  Each vertex x keeps ``on[x]``, the mask of the faces
+    through it, so the admissible faces are the AND of ``on`` over the
+    attachments, their number a popcount, the lowest-index one the
+    lowest set bit.  A split of face k moves the inner vertices of the
+    arc that leaves to the new face and puts the path's inner vertices
+    and ends on it; the inner ones join face k too.  The fragments stay
+    in a list in scan order: a drawn chord leaves it, and a drawn
+    component gives way to the components of its remaining vertices and
+    the chords at the path's inner vertices.  No other fragment changes,
+    as no edge joins two components.
 
     The scan stops at the first fragment with at most one admissible
     face.  On a planar block no fragment has none, so this is the first
@@ -180,32 +192,41 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
     the loop reaches it and the verdict is the same.
     """
     cycle = _find_cycle(vs, adj)
-    emb = [0] * len(adj)
+    rest = list(adj)  # the edges not yet drawn
+    on = [0] * len(adj)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        emb[a] |= 1 << b
-        emb[b] |= 1 << a
+        rest[a] &= ~(1 << b)
+        rest[b] &= ~(1 << a)
+        on[a] = 3  # faces 0 and 1, the two sides of the cycle
     placed = sum(1 << v for v in cycle)
     left = sum(1 << v for v in vs) & ~placed
+    frags = [
+        (1 << v | 1 << u, 0)
+        for v in bits(placed)
+        for u in bits(rest[v] & placed & -(2 << v))
+    ] + _components(adj, placed, left)
     faces: list[tuple[int, ...]] = [tuple(cycle), tuple(reversed(cycle))]
-    masks = [placed, placed]
     total = sum(map(int.bit_count, adj)) // 2
     done = len(cycle)
 
     while done < total:
-        best: tuple[int, int] | None = None
-        best_faces: list[int] = []
-        for att, comp in _fragments(adj, emb, placed, left):
-            adm = [i for i, m in enumerate(masks) if not att & ~m]
-            if best is None or len(adm) < len(best_faces):
-                best, best_faces = (att, comp), adm
-                if len(adm) <= 1:
+        best = best_adm = best_count = -1
+        for n, (att, comp) in enumerate(frags):
+            adm = -1
+            for x in bits(att):
+                adm &= on[x]
+            count = adm.bit_count()
+            if best < 0 or count < best_count:
+                best, best_adm, best_count = n, adm, count
+                if count <= 1:
                     break
-        assert best is not None
-        if not best_faces:
+        assert best >= 0
+        if not best_count:
             raise NonPlanarGraphError("a fragment fits in no face")
 
-        path = _fragment_path(*best, adj, placed)
-        k = best_faces[0]
+        att, comp = frags.pop(best)
+        path = _fragment_path(att, comp, adj, placed)
+        k = (best_adm & -best_adm).bit_length() - 1
         face = faces[k]
         i, j = face.index(path[0]), face.index(path[-1])
         if i < j:
@@ -213,19 +234,30 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
         else:
             arc_ab, arc_ba = face[i:] + face[: j + 1], face[j : i + 1]
         inner = tuple(path[1:-1])
-        mid = sum(1 << x for x in inner)
-        ends = 1 << path[0] | 1 << path[-1]
-        ab = sum(1 << x for x in arc_ab)
+        old, new = 1 << k, 1 << len(faces)
         faces[k] = arc_ab + inner[::-1]
         faces.append(arc_ba + inner)
-        masks.append(masks[k] & ~ab | ends | mid)
-        masks[k] = ab | mid
+        for x in arc_ba[1:-1]:
+            on[x] ^= old | new
+        for x in inner:
+            on[x] = old | new
+        on[path[0]] |= new
+        on[path[-1]] |= new
         for x, y in zip(path, path[1:]):
-            emb[x] |= 1 << y
-            emb[y] |= 1 << x
+            rest[x] &= ~(1 << y)
+            rest[y] &= ~(1 << x)
         done += len(path) - 1
-        placed |= mid
-        left &= ~mid
+        if comp:
+            # what is left of the component falls into components, and the
+            # undrawn edges from the path's inner vertices to placed ones
+            # become chords
+            mid = sum(map(_BIT.__getitem__, inner))
+            for x in inner:
+                for u in bits(rest[x] & (placed | mid & -(2 << x))):
+                    frags.append((1 << x | 1 << u, 0))
+            placed |= mid
+            frags += _components(adj, placed, comp & ~mid)
+            frags.sort(key=_fragment_order)
 
     # each dart on one face glues the faces into a closed surface, and
     # Euler characteristic 2 makes it the sphere
@@ -255,7 +287,12 @@ def _plane(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
         return False, None
     if len(pieces) != 1 or len(pieces[0][0]) != g.p:
         return True, None
-    least = (min(f[i:] + f[:i] for i in range(len(f))) for f in walks[0])
+    least = []
+    for f in walks[0]:
+        # a walk has distinct vertices, so its least rotation starts at
+        # its least vertex
+        i = f.index(min(f))
+        least.append(f[i:] + f[:i])
     return True, tuple(sorted(least, key=lambda f: (len(f), f)))
 
 

@@ -13,7 +13,9 @@ import random
 from functools import cache
 
 from polycensus import (
+    MAX_VERTICES,
     Graph,
+    Graph6Error,
     NonPlanarGraphError,
     canonical_form,
     canonical_graph,
@@ -438,6 +440,74 @@ def _plain_search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     rec(_plain_refine(nbrs, [0] * p), 0)
     assert best_label is not None
     return best_label
+
+
+# ---------------------------------------------------------------------------
+# graph6 one bit at a time
+
+def plain_encode(g: Graph) -> str:
+    """graph6 of ``g``: the order byte, then every pair in column order,
+    one bit each, packed into 6-bit groups, each + 63."""
+    out = [chr(63 + g.p)]
+    acc = 0
+    nbits = 0
+    for j in range(1, g.p):
+        col = g.adj[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
+
+
+def plain_decode(text: str) -> Graph:
+    """The graph of a graph6 string, read one pair at a time; raises
+    Graph6Error with the package's messages and positions.  The
+    package's ``decode`` once was this code."""
+    s = text.strip()
+    at = len(text) - len(text.lstrip())
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+        at += 10
+    if not s:
+        raise Graph6Error("empty graph6 string")
+    n = ord(s[0]) - 63
+    if not 1 <= n <= 62:
+        raise Graph6Error(f"unsupported order byte {s[0]!r}", at)
+    if n > MAX_VERTICES:
+        raise Graph6Error(
+            f"order {n} exceeds the supported maximum {MAX_VERTICES}", at
+        )
+    nbits = n * (n - 1) // 2
+    expect = 1 + (nbits + 5) // 6
+    if len(s) != expect:
+        raise Graph6Error(
+            f"expected {expect} characters for order {n}, got {len(s)}",
+            at + min(len(s), expect),
+        )
+    data = 0
+    for k, ch in enumerate(s[1:], start=1):
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise Graph6Error(f"character {ch!r} outside graph6 range", at + k)
+        data = data << 6 | val
+    pad = 6 * (expect - 1) - nbits
+    if data & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", at + expect - 1)
+    rows = [0] * n
+    bit = nbits + pad
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if data >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,9 @@ print(len(searches))
     ).stdout
     *_, verdict, searches = out.splitlines()
     assert verdict == "[[], []] 0 311"
-    assert int(searches) <= 520  # 633 when the catalog searched each class
+    # 633 when the catalog searched each class, 520 when the order-8 scan
+    # searched each winner
+    assert int(searches) <= 517
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
 
 

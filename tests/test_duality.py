@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 from itertools import combinations
 
@@ -7,7 +9,13 @@ import polycensus as pc
 from polycensus import NotPolyhedralError, cli, dual, embed, is_polyhedral, is_self_dual
 from polycensus import planarity
 from polycensus.duality import _three_connected_by_faces
-from tests.oracles import brute_3_connected, icosahedron, kuratowski_oracle, petersen
+from tests.oracles import (
+    brute_3_connected,
+    icosahedron,
+    kuratowski_oracle,
+    petersen,
+    shuffled,
+)
 
 
 def cube():
@@ -106,6 +114,26 @@ def test_dual_bytes_are_pinned(capsys):
         dual(icosahedron())
     assert cli.main(["dual", pc.encode(cube())]) == 0
     assert capsys.readouterr().out == "E}]w\n"
+
+
+# sha256 over "encode(dual(h)) embed(h)" lines, h each census class with
+# q <= 14 and then one relabelling of it, frozen from the embedder that
+# kept a vertex mask per face
+DUAL_EMBED_SHA256 = "c2e8442b72355ee5ce08a6a66fdda7c4633102a598de0f5ee9e7ac9522fb41a2"
+
+
+def test_dual_and_embed_bytes_over_the_census(census):
+    rng = random.Random(1497)
+    digest = hashlib.sha256()
+    count = 0
+    for q in range(6, 15):
+        for p in sorted(p for p, size in census if size == q):
+            for g in census[p, q]:
+                for h in (g, shuffled(g, rng)):
+                    digest.update(f"{pc.encode(dual(h))} {embed(h)}\n".encode())
+                    count += 1
+    assert count == 2 * 102
+    assert digest.hexdigest() == DUAL_EMBED_SHA256
 
 
 def test_self_dual_examples():

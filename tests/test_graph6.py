@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 
 import polycensus as pc
 from polycensus import Graph6Error, decode, encode
 from tests import strategies
-from tests.oracles import empty_graph
+from tests.oracles import empty_graph, plain_decode, plain_encode, random_graph
 
 # frozen reference strings, worked out by hand from the format spec
 KNOWN = [
@@ -86,3 +88,50 @@ def test_encoding_is_column_ordered():
     # on 5 vertices, edge (0,4) opens the second group
     g = pc.Graph.from_edges(5, [(0, 4)])
     assert encode(g) == "D" + chr(63) + chr(63 + 0b100000)
+
+
+def _outcome(codec, text):
+    """What a decoder makes of ``text``: the graph, or the error's
+    message and position."""
+    try:
+        return codec(text)
+    except Graph6Error as exc:
+        return str(exc), exc.position
+
+
+def test_codec_matches_the_reference(universe):
+    # the package codec against the one-bit-at-a-time one, on every
+    # class through order 7 and on random graphs past the round trip's 9
+    rng = random.Random(6)
+    graphs = list(universe)
+    for p in range(10, 17):
+        hi = p * (p - 1) // 2
+        graphs += [random_graph(p, rng.randint(0, hi), rng) for _ in range(40)]
+    for g in graphs:
+        text = plain_encode(g)
+        assert encode(g) == text
+        assert decode(text) == plain_decode(text) == g
+
+
+def test_malformed_input_matches_the_reference():
+    # the same message and position as the reference decoder, with and
+    # without the header and leading whitespace
+    rng = random.Random(7)
+    bad = ["", "~", chr(63 + 17) + "?" * 23, "B" + chr(63 + 0b000111)]
+    for p in range(2, 17):
+        text = encode(random_graph(p, rng.randint(0, p * (p - 1) // 2), rng))
+        k = rng.randrange(1, len(text))
+        wrong = rng.choice("!>\x7f\xe9")
+        bad += [text[:-1], text + "?", text[:k] + wrong + text[k + 1 :]]
+        if p * (p - 1) // 2 % 6:
+            # the last padding bit set
+            bad.append(text[:-1] + chr(63 + (ord(text[-1]) - 63 | 1)))
+    kinds = set()
+    for text in bad:
+        for prefix in ("", ">>graph6<<", "  ", " \t>>graph6<<"):
+            line = prefix + text + "\n"
+            got = _outcome(decode, line)
+            assert isinstance(got, tuple), repr(line)
+            assert got == _outcome(plain_decode, line), repr(line)
+            kinds.add(got[0].split()[0])
+    assert kinds == {"empty", "unsupported", "order", "expected", "character", "nonzero"}

@@ -121,6 +121,21 @@ canonical graphs, so the output does not depend on which child reached
 a class first.  The automorphisms a class carries do, but they decide
 only which repeats are skipped.
 
+On every CPU.  A deletion level is cut into contiguous chunks of its
+parents, and the duals of a cell into contiguous chunks of its classes,
+one chunk per CPU the process may run on; the caller runs the first and
+a forked child each other one (``_chunked``).  No parent's children
+depend on another parent's, since every accepted child is searched
+whether its class is filed or not.  So each chunk files its children
+first-wins in parent order, and merging the chunks in order, first-wins
+again, files every class from the same child, with the same faces and
+automorphisms, as one pass over all the parents would; the duals come
+back in class order.  The output is byte for byte that of the serial
+pass.  With one CPU, without fork, in a process with other threads, or
+with too few items for two chunks of ``_MIN_CHUNK``, the work runs
+in-process as one chunk, through the same code.  The triangulation
+levels, 145 searches through order 9, are not split.
+
 The deletion check is cheap because deletion only lowers degrees: the
 faces of g are read once per parent, and its pairs C(g) are sorted by
 score in g.  Deleting ab merges the two faces on either side of ab and
@@ -136,8 +151,14 @@ of the right order and size, which shares no generation machinery.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
+import threading
+from collections.abc import Callable
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import TypeVar
 
 from .duality import _face_graph, _faces_through
@@ -150,7 +171,17 @@ _Faces = tuple[int, ...]  # one vertex bitmask per face
 _Gens = tuple[tuple[int, ...], ...]  # automorphisms (v -> image)
 _Class = tuple[Graph, _Faces, _Gens]  # a class, its faces, some automorphisms
 _Classes = tuple[_Class, ...]
-_T = TypeVar("_T")
+_Entry = tuple[tuple[int, ...], _Faces, _Gens]  # a class as canonical rows
+_R = TypeVar("_R")
+
+# the CPUs this process may run on; one where it cannot tell or fork
+_CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    else 1
+)
+# the fewest items worth a chunk, and a fork, of their own
+_MIN_CHUNK = 16
 
 
 def order_bounds(q: int) -> tuple[int, int]:
@@ -162,10 +193,6 @@ def order_bounds(q: int) -> tuple[int, int]:
     if q < 6:
         raise ValueError("a polyhedral graph has at least 6 edges")
     return (q + 8) // 3, 2 * q // 3
-
-
-def _sorted_classes(found: dict[CanonicalForm, _T]) -> tuple[_T, ...]:
-    return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
 
 
 def _score(dx: int, dy: int) -> int:
@@ -193,12 +220,78 @@ def _orbit(mask: int, gens: _Gens) -> set[int]:
     return orbit
 
 
-def _keep(found: dict[CanonicalForm, _Class], h: Graph, faces: _Faces) -> None:
+def _keep(found: dict[bytes, _Entry], h: Graph, faces: _Faces) -> None:
     """File the child ``h`` with ``faces`` under its certificate, relabelled
     canonically, with its automorphisms, unless its class is in ``found``."""
     cf, label, gens = _labelled_search(h)
-    if cf not in found:
-        found[cf] = (h.relabel(label), _relabelled(faces, label), gens)
+    if cf.certificate not in found:
+        found[cf.certificate] = (h.relabel(label).adj, _relabelled(faces, label), gens)
+
+
+def _classes(found: dict[bytes, _Entry]) -> _Classes:
+    """The classes filed in ``found``, sorted by certificate, whose first
+    byte is the order."""
+    return tuple(
+        (Graph._derived(c[0], rows), faces, gens)
+        for c, (rows, faces, gens) in sorted(found.items())
+    )
+
+
+def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
+    """``work`` of each contiguous chunk of ``items``, in order: one chunk
+    per CPU, of at least ``_MIN_CHUNK`` items, or all of them in one.
+
+    The caller runs the first chunk and a forked child each other one.
+    A child sends its result back through a pipe with marshal, so
+    ``work`` returns ints, bytes, tuples and dicts of them, and leaves
+    by ``os._exit`` whatever happens, so it never returns into the
+    caller's code.  Every child is reaped before this returns or
+    raises; a child that fails raises ChildProcessError.  A process
+    with other threads runs everything itself, as a forked child could
+    wait forever on a lock that one of them held.
+    """
+    n = min(_CPUS, len(items) // _MIN_CHUNK)
+    if n < 2 or threading.active_count() > 1:
+        return [work(items)]
+    size = -(-len(items) // n)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for start in range(size, len(items), size):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        out.write(marshal.dumps(work(items[start : start + size])))
+                    code = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        results = [work(items[:size])]
+        sent = []
+        for _, r in children:
+            with open(r, "rb", closefd=False) as src:
+                sent.append(src.read())
+    finally:
+        failed = []
+        for pid, r in children:
+            os.close(r)
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                failed.append(os.waitstatus_to_exitcode(status))
+    if failed:
+        raise ChildProcessError(f"census work failed in a child process: {failed}")
+    return results + [marshal.loads(b) for b in sent]
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +377,11 @@ def _embedded_triangulations(p: int) -> _Classes:
         # K4 is its own canonical graph; its faces are its four triangles,
         # and it carries no automorphisms, which skips no repeat
         return ((complete(4), tuple(15 ^ 1 << v for v in range(4)), ()),)
-    found: dict[CanonicalForm, _Class] = {}
+    found: dict[bytes, _Entry] = {}
     for _, faces, gens in _embedded_triangulations(p - 1):
         for split, adj in _accepted_splits(faces, gens):
             _keep(found, Graph._derived(p, tuple(adj)), split)
-    return _sorted_classes(found)
+    return _classes(found)
 
 
 @cache
@@ -416,10 +509,10 @@ def _accepted_deletions(g: Graph, faces: _Faces):
         yield a, b, faces[:k] + (merged,) + faces[k + 1 : m] + faces[m + 1 :]
 
 
-def _deletion_level(parents: _Classes) -> _Classes:
-    """(class, its faces) for every polyhedral graph one edge below the
-    cell whose classes are ``parents``, canonical and sorted."""
-    found: dict[CanonicalForm, _Class] = {}
+def _children(parents: _Classes) -> dict[bytes, _Entry]:
+    """The classes one edge below ``parents``, filed by ``_keep`` in the
+    order the parents reach them."""
+    found: dict[bytes, _Entry] = {}
     for g, faces, gens in parents:
         # the deletions of edges in one orbit of automorphisms give one
         # class, and the rule accepts all of them or none
@@ -429,7 +522,19 @@ def _deletion_level(parents: _Classes) -> _Classes:
             if ab not in seen:
                 seen |= _orbit(ab, gens)
                 _keep(found, g.remove_edge(a, b), merged)
-    return _sorted_classes(found)
+    return found
+
+
+def _deletion_level(parents: _Classes) -> _Classes:
+    """(class, its faces) for every polyhedral graph one edge below the
+    cell whose classes are ``parents``, canonical and sorted."""
+    found: dict[bytes, _Entry] = {}
+    # first wins within each chunk and across the chunks in order, as
+    # over the parents in one pass
+    for chunk in _chunked(_children, parents):
+        for c, entry in chunk.items():
+            found.setdefault(c, entry)
+    return _classes(found)
 
 
 @cache
@@ -451,17 +556,27 @@ def _dual_seeds(faces: _Faces, gens: _Gens) -> _Gens:
     return tuple(tuple(index[f] for f in _relabelled(faces, g)) for g in gens)
 
 
+def _duals(classes: _Classes) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
+    """(certificate, canonical rows) of the dual of each of ``classes``,
+    read off the carried faces."""
+    out = []
+    for h, faces, gens in classes:
+        d = _face_graph(h, faces)
+        cf, label, _ = _labelled_search(d, _dual_seeds(faces, gens))
+        out.append((cf.certificate, d.relabel(label).adj))
+    return tuple(out)
+
+
 @cache
 def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...]:
     """(class, its dual's certificate, its dual's canonical graph) for
-    every class of the cell (r, q) of the direct descent, the dual read
-    off the carried faces."""
-    out = []
-    for h, faces, gens in _embedded_census(r)[q]:
-        d = _face_graph(h, faces)
-        cf, label, _ = _labelled_search(d, _dual_seeds(faces, gens))
-        out.append((h, cf, d.relabel(label)))
-    return tuple(out)
+    every class of the cell (r, q) of the direct descent."""
+    classes = _embedded_census(r)[q]
+    duals = [d for chunk in _chunked(_duals, classes) for d in chunk]
+    return tuple(
+        (h, CanonicalForm(c), Graph._derived(c[0], rows))
+        for (h, _, _), (c, rows) in zip(classes, duals)
+    )
 
 
 def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
@@ -478,7 +593,7 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
             f"feasible, but p={p} and q-p+2={r} both exceed {MAX_ENUM_ORDER}"
         )
     if r < p:
-        return _sorted_classes({c: d for _, c, d in _dual_pairs(r, q)})
+        return tuple(d for _, _, d in sorted(_dual_pairs(r, q), key=itemgetter(1)))
     return tuple(g for g, _, _ in _embedded_census(p)[q])
 
 

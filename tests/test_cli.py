@@ -145,13 +145,14 @@ def test_output_bytes_ignore_the_hash_seed(tmp_path):
 def test_cold_classify(tmp_path):
     # one cold `classify --no-prune` process, as a reader runs it: the
     # package loads without dataclasses (and the inspect module it
-    # imports), and the catalog embeds no complement that has a vertex
+    # imports) or a process pool and its pickle, and the catalog embeds no complement that has a vertex
     # of degree below 3 and searches no class for a certificate the
     # census already holds
     script = """
 import sys
 before = set(sys.modules)
-from polycensus import isomorphism, planarity
+from polycensus import enumeration, isomorphism, planarity
+enumeration._CPUS = 1  # a child's searches go uncounted
 embed_block, embeds = planarity._embed_block, []
 planarity._embed_block = lambda vs, adj: embeds.append(vs) or embed_block(vs, adj)
 search, searches = isomorphism._search, []
@@ -160,7 +161,8 @@ import polycensus.cli
 seen = [set(sys.modules) - before]
 code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
 seen.append(set(sys.modules) - before)
-print([sorted({"dataclasses", "inspect"} & s) for s in seen], code, len(embeds))
+slow = {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent"}
+print([sorted(slow & s) for s in seen], code, len(embeds))
 print(len(searches))
 """
     src = str(Path(pc.__file__).resolve().parents[1])

@@ -9,9 +9,13 @@ every cell is the strongest evidence either is right.
 import ast
 import hashlib
 import inspect
+import os
 import random
+import subprocess
+import sys
 from functools import cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,7 @@ def test_acceptance_skips_most_canonical_forms(monkeypatch):
     # are 3-connected; without the acceptance rule, its tie key and one
     # deletion per edge orbit, each of them would be searched
     enumeration.triangulations(8)  # cached; its labels are not counted
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     calls = _count(monkeypatch, enumeration, "_labelled_search")
     # the undecorated function runs a fresh census and leaves the caches be
     census = _embedded_census.__wrapped__(8)
@@ -305,9 +310,10 @@ def test_dual_seeds_are_automorphisms_and_keep_the_labelling():
     assert seeded == 603  # not vacuous
 
 
-def test_census_leaves_the_labelling_cache_alone():
+def test_census_leaves_the_labelling_cache_alone(monkeypatch):
     # the census searches each child once and keeps nothing in the
     # cache that serves the catalog and the CLI
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's cache goes unseen
     census = _embedded_census(8)
     before = canonical_labeling.cache_info()
     assert _embedded_census.__wrapped__(8) == census
@@ -376,6 +382,7 @@ def test_dual_route_neither_embeds_nor_tests(monkeypatch):
     # the 76 classes of (8, 16) are polyhedral by construction and carry
     # their faces; dualizing them needs no embedding and no test
     _embedded_census(8)
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     embeds = _count(monkeypatch, planarity, "_embed_block")
     tests = _count(monkeypatch, connectivity, "is_3_connected")
     tests_in_duality = _count(monkeypatch, duality, "_polyhedral")
@@ -387,6 +394,7 @@ def test_each_triangulation_embedded_once(monkeypatch):
     # with the orders below warm, splitting carries the faces of its
     # parent, and the deletion descent merges them: nothing is embedded
     _embedded_triangulations(9)
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     embeds = _count(monkeypatch, planarity, "_embed_block")
     for p in range(5, 10):
         embeds.clear()
@@ -407,6 +415,94 @@ def test_census_certificate_digest():
                 for g in enumerate_polyhedra(p, q):
                     digest.update(pc.canonical_form(g).certificate)
     assert digest.hexdigest() == CENSUS_DIGEST
+
+
+def _census_and_duals(p):
+    census = _embedded_census.__wrapped__(p)
+    return census, {q: _dual_pairs.__wrapped__(p, q) for q in census}
+
+
+def test_split_census_equals_the_serial_one(monkeypatch):
+    # each chunk of parents files its children first-wins and the chunks
+    # merge in order, so every class keeps the faces and automorphisms of
+    # the serial pass, and every dual its certificate and labelling
+    chunked = enumeration._chunked
+    splits = []
+
+    def spy(work, items):
+        out = chunked(work, items)
+        splits.append(len(out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_chunked", spy)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(enumeration, "_CPUS", cpus)
+        splits.clear()
+        runs[cpus] = [_census_and_duals(p) for p in range(4, 10)]
+        assert max(splits) == cpus  # not vacuous
+    assert runs[1] == runs[2]
+    # and no child outlives the calls that forked it
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_on_one_cpu():
+    # a process held to one CPU finds one, runs the serial pass and gives
+    # the same census
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    script = """
+import hashlib
+import polycensus as pc
+from polycensus import enumeration
+
+digest = hashlib.sha256()
+for q in range(6, 22):
+    for p in range((q + 8) // 3, 2 * q // 3 + 1):
+        if min(p, q - p + 2) <= 9:
+            for g in pc.enumerate_polyhedra(p, q):
+                digest.update(pc.canonical_form(g).certificate)
+print(enumeration._CPUS, digest.hexdigest())
+"""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cpu = min(os.sched_getaffinity(0))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.split() == ["1", CENSUS_DIGEST]
+
+
+def test_a_failing_chunk_fails_the_call(monkeypatch, tmp_path):
+    # the parent raises, reaps every child first, and no child comes back
+    # into the caller's code, even on an exception that nothing catches
+    monkeypatch.setattr(enumeration, "_CPUS", 2)
+    me = os.getpid()
+    returned = tmp_path / "returned"
+
+    def work(chunk):
+        if os.getpid() != me:
+            raise KeyboardInterrupt
+        return tuple(chunk)
+
+    try:
+        with pytest.raises(ChildProcessError):
+            enumeration._chunked(work, tuple(range(4 * enumeration._MIN_CHUNK)))
+    finally:
+        if os.getpid() != me:
+            returned.write_text("a child returned")
+            os._exit(3)
+    assert not returned.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_enumerate_infeasible_is_empty():

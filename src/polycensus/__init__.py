@@ -10,7 +10,6 @@ degree sequence 44443333, exactly one of which is not self-dual.
 from .catalog import (
     Catalog,
     CatalogEntry,
-    assemble,
     build_catalog,
     catalog_to_json,
     dot_document,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Catalog",
     "CatalogEntry",
-    "assemble",
     "build_catalog",
     "catalog_to_json",
     "dot_document",

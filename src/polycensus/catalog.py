@@ -8,7 +8,9 @@ a pair whose members have different orders is keyed by the smaller
 one, so the order-7 size-14 graphs each precede their order-9 duals.
 Units at the same order put self-duals first, then sort by decreasing
 degree sequence, the partner's degree sequence, and finally the
-canonical certificate, which settles anything left.
+canonical certificate, which settles anything left.  A unit's members
+are labelled together and their entries built then, each carrying its
+partner's label as its dual label (a self-dual graph carries its own).
 
 Certificates and duals come from the census, not from a search or
 ``dual`` here: the census stores every class in its canonical
@@ -19,9 +21,11 @@ pairing, so no catalog class is searched, embedded or tested again;
 only a member given in some other labelling is labelled canonically.
 
 The three graphs whose complements are again polyhedral also carry the
-names they go by in the published census of that classification; the
-two self-dual ones are told apart by certificate order, a convention
-this module documents rather than a figure-verified identity.
+names they go by in the published census of that classification, set
+once every entry is built and only if the input holds exactly that
+trio; the two self-dual ones are told apart by certificate order, a
+convention this module documents rather than a figure-verified
+identity.
 """
 
 from __future__ import annotations
@@ -71,13 +75,9 @@ class Catalog:
 
     __slots__ = ("entries", "by_certificate")
 
-    def __init__(
-        self,
-        entries: tuple[CatalogEntry, ...],
-        by_certificate: dict[CanonicalForm, CatalogEntry],
-    ) -> None:
+    def __init__(self, entries: tuple[CatalogEntry, ...]) -> None:
         self.entries = entries
-        self.by_certificate = by_certificate
+        self.by_certificate = {e.certificate: e for e in entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -123,43 +123,40 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
                 raise _not_polyhedral(g)
         by_size.setdefault(g.q, {})[certs[g][0]] = g
 
-    drafts: list[dict] = []
-    label_of: dict[CanonicalForm, str] = {}
+    entries: list[CatalogEntry] = []
     for q in sorted(by_size):
         group = by_size[q]
         units = []
-        seen: set[CanonicalForm] = set()
-        for cert in sorted(group, key=lambda c: c.certificate):
-            if cert in seen:
-                continue
-            g = group[cert]
+        for cert, g in group.items():
             cd = certs[g][1]
             if cd == cert:
                 units.append((g.p, 0, _member_key(g, g, certs), (g,)))
-                seen.add(cert)
-            elif cd in group:
-                b = group[cd]
-                if g.p != b.p:
-                    a, b = (g, b) if g.p < b.p else (b, g)
-                elif _member_key(g, b, certs) > _member_key(b, g, certs):
-                    a, b = b, g
-                else:
-                    a = g
-                units.append((a.p, 1, _member_key(a, b, certs), (a, b)))
-                seen.update((cert, cd))
-            else:
+                continue
+            b = group.get(cd)
+            if b is None:
                 raise ValueError(
                     f"input not closed under duality: "
                     f"the dual of a ({g.p},{q}) member is missing"
                 )
+            if cert > cd:
+                continue  # each pair is visited once, from its smaller certificate
+            if g.p != b.p:
+                a, b = (g, b) if g.p < b.p else (b, g)
+                key = _member_key(a, b, certs)
+            else:
+                key, b_key = _member_key(g, b, certs), _member_key(b, g, certs)
+                a, b, key = (g, b, key) if key <= b_key else (b, g, b_key)
+            units.append((a.p, 1, key, (a, b)))
         units.sort(key=lambda u: u[:3])
         nn: dict[int, int] = {}
-        for unit in units:
-            for g in unit[3]:
+        for *_, members in units:
+            labels = []
+            for g in members:
                 nn[g.p] = nn.get(g.p, 0) + 1
-                cert, dual_cert = certs[g]
-                label = f"{q:02d}{g.p:02d}.{nn[g.p]:02d}"
-                label_of[cert] = label
+                labels.append(f"{q:02d}{g.p:02d}.{nn[g.p]:02d}")
+            # a self-dual member is its own partner
+            for g, label, dual_label in zip(members, labels, labels[::-1]):
+                cert = certs[g][0]
                 # degree d is p - 1 - d in the complement, which needs 3 or more
                 complement_polyhedral = (
                     max(map(int.bit_count, g.adj)) <= g.p - 4
@@ -170,57 +167,39 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
                 self_complementary = (
                     complement_polyhedral and canonical_form(g.complement()) == cert
                 )
-                drafts.append(
-                    {
-                        "label": label,
-                        "graph": g,
-                        "certificate": cert,
-                        "dual_certificate": dual_cert,
-                        "self_complementary": self_complementary,
-                        "complement_polyhedral": complement_polyhedral,
-                    }
+                entries.append(
+                    CatalogEntry(
+                        label=label,
+                        graph=g,
+                        certificate=cert,
+                        self_dual=len(members) == 1,
+                        self_complementary=self_complementary,
+                        complement_polyhedral=complement_polyhedral,
+                        dual_label=dual_label,
+                        published_name=None,
+                    )
                 )
 
-    names: dict[CanonicalForm, str] = {}
-    flagged = [d for d in drafts if d["complement_polyhedral"]]
-    flagged_self_dual = sorted(
-        (d for d in flagged if d["dual_certificate"] == d["certificate"]),
-        key=lambda d: d["certificate"].certificate,
+    flagged = [i for i, e in enumerate(entries) if e.complement_polyhedral]
+    self_dual = sorted(
+        (i for i in flagged if entries[i].self_dual),
+        key=lambda i: entries[i].certificate,
     )
-    flagged_rest = [d for d in flagged if d["dual_certificate"] != d["certificate"]]
-    if len(flagged_self_dual) == 2 and len(flagged_rest) == 1:
-        for d, name in zip(flagged_self_dual + flagged_rest, PUBLISHED_NAMES):
-            names[d["certificate"]] = name
-
-    return tuple(
-        CatalogEntry(
-            label=d["label"],
-            graph=d["graph"],
-            certificate=d["certificate"],
-            self_dual=d["dual_certificate"] == d["certificate"],
-            self_complementary=d["self_complementary"],
-            complement_polyhedral=d["complement_polyhedral"],
-            dual_label=label_of[d["dual_certificate"]],
-            published_name=names.get(d["certificate"]),
-        )
-        for d in drafts
-    )
-
-
-def assemble(entries: tuple[CatalogEntry, ...]) -> Catalog:
-    return Catalog(
-        entries=entries, by_certificate={e.certificate: e for e in entries}
-    )
+    rest = [i for i in flagged if not entries[i].self_dual]
+    if len(self_dual) == 2 and len(rest) == 1:
+        for i, name in zip(self_dual + rest, PUBLISHED_NAMES):
+            entries[i] = entries[i]._replace(published_name=name)
+    return tuple(entries)
 
 
 @cache
-def build_catalog(min_size: int = 6, max_size: int = 14) -> Catalog:
-    """Catalog of every polyhedral graph with min_size..max_size edges."""
+def build_catalog() -> Catalog:
+    """Catalog of every polyhedral graph with 6..14 edges."""
     census: list[Graph] = []
-    for q in range(min_size, max_size + 1):
+    for q in range(6, 15):
         for classes in enumerate_by_size(q).values():
             census.extend(classes)
-    return assemble(order_census(census))
+    return Catalog(order_census(census))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +221,7 @@ def dot_document(named: Iterable[tuple[str, Graph]]) -> str:
     return "".join(chunks)
 
 
-def catalog_to_json(cat: Catalog) -> str:
+def catalog_to_json(entries: Iterable[CatalogEntry]) -> str:
     doc = {
         "schema_version": 1,
         "entries": [
@@ -260,7 +239,7 @@ def catalog_to_json(cat: Catalog) -> str:
                 "dual_label": e.dual_label,
                 "published_name": e.published_name,
             }
-            for e in cat.entries
+            for e in entries
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -23,7 +23,6 @@ from functools import cache
 from pathlib import Path
 
 from .catalog import (
-    assemble,
     catalog_to_json,
     dot_document,
     graph6_lines,
@@ -98,7 +97,7 @@ def cmd_enumerate(args) -> int:
     if args.p is not None:
         entries = tuple(e for e in entries if e.p == args.p)
     if args.format == "json":
-        _emit(catalog_to_json(assemble(entries)), out)
+        _emit(catalog_to_json(entries), out)
         return 0
 
     # dot: one graph per file under --out, concatenated blocks on stdout

@@ -233,35 +233,20 @@ def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     """Census by direct filtration; shares no generation machinery with
     enumerate_polyhedra.
 
-    p <= 7 scans every q-subset of vertex pairs; p = 8 scans labelled
-    graphs realizing each admissible degree vector.
+    Scans, at every order, the labelled graphs realizing each degree
+    vector that a polyhedron could have.
     """
     if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
         return ()
     if p > 8:
         raise ValueError("direct filtration is kept to p <= 8")
     found = {}
-    if p <= 7:
-        pairs = list(itertools.combinations(range(p), 2))
-        for chosen in itertools.combinations(pairs, q):
-            degs = [0] * p
-            for a, b in chosen:
-                degs[a] += 1
-                degs[b] += 1
-            if min(degs) < 3:
-                continue
-            g = Graph.from_edges(p, chosen)
+    for row in _degree_rows(p, q):
+        for g in _labeled_graphs_with_degrees(row):
             if is_3_connected(g) and is_planar(g):
                 cf = canonical_form(g)
                 if cf not in found:
                     found[cf] = canonical_graph(g)
-    else:
-        for row in _degree_rows(p, q):
-            for g in _labeled_graphs_with_degrees(row):
-                if is_3_connected(g) and is_planar(g):
-                    cf = canonical_form(g)
-                    if cf not in found:
-                        found[cf] = canonical_graph(g)
     return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -7,7 +8,7 @@ import pytest
 import polycensus as pc
 from polycensus import (
     NotPolyhedralError,
-    assemble,
+    Catalog,
     build_catalog,
     catalog_to_json,
     dot_document,
@@ -19,6 +20,12 @@ from polycensus import (
     planarity,
 )
 from tests.oracles import empty_graph
+
+# sha256 over catalog_to_json of every class of each size q = 6..17,
+# concatenated in order; the `enumerate --q 6..17 --format json` stdout
+CATALOG_JSON_SHA256 = (
+    "69020bd7524467bb892b1d17ac9fde35979e46205352fb4a685cbf8d28f452d9"
+)
 
 BLOCK_COUNTS = {
     (6, 4): 1,
@@ -206,6 +213,18 @@ def test_census_certificates_beyond_the_catalog(q):
         assert partner.certificate == pc.canonical_form(pc.dual(e.graph))
 
 
+def test_catalog_json_digest():
+    # labels, flags, dual labels and published names past the catalog's
+    # q = 14, which the classify report does not cover
+    digest = hashlib.sha256()
+    for q in range(6, 18):
+        entries = order_census(
+            g for classes in pc.enumerate_by_size(q).values() for g in classes
+        )
+        digest.update(catalog_to_json(entries).encode())
+    assert digest.hexdigest() == CATALOG_JSON_SHA256
+
+
 def test_order_census_no_published_names_without_the_trio(catalog):
     small = [e.graph for e in catalog if e.q <= 10]
     entries = order_census(small)
@@ -251,7 +270,9 @@ def test_dot_export(catalog):
 def test_assemble_and_graph6_lines(catalog):
     text = graph6_lines([pc.complete(4), pc.cycle(5)])
     assert text == "C~\nDhc\n"
-    rebuilt = assemble(catalog.entries)
+    rebuilt = Catalog(catalog.entries)
+    assert rebuilt.by_certificate == catalog.by_certificate
+    assert catalog_to_json(catalog) == catalog_to_json(catalog.entries)
     assert (
         by_label(rebuilt)["1408.01"].certificate
         == by_label(catalog)["1408.01"].certificate

@@ -8,7 +8,6 @@ degree sequence 44443333, exactly one of which is not self-dual.
 """
 
 from .catalog import (
-    Catalog,
     CatalogEntry,
     build_catalog,
     catalog_to_json,
@@ -65,7 +64,6 @@ from .planarity import NonPlanarGraphError, embed, is_planar
 __version__ = "0.1.0"
 
 __all__ = [
-    "Catalog",
     "CatalogEntry",
     "build_catalog",
     "catalog_to_json",

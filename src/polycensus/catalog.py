@@ -2,43 +2,45 @@
 
 Labels read qqpp.nn: zero-padded size, zero-padded order, then a
 counter that runs through the graphs of that size and order in listing
-order.  The listing sorts by size first.  Inside a size class the unit
-is a self-dual graph or a dual pair, the two partners always adjacent;
-a pair whose members have different orders is keyed by the smaller
-one, so the order-7 size-14 graphs each precede their order-9 duals.
-Units at the same order put self-duals first, then sort by decreasing
-degree sequence, the partner's degree sequence, and finally the
-canonical certificate, which settles anything left.  A unit's members
-are labelled together and their entries built then, each carrying its
-partner's label as its dual label (a self-dual graph carries its own).
+order.  Labels are decided one size at a time: ``order_census(q)``
+labels every class with q edges, which holds the dual of each of them,
+since a dual keeps the size, and ``build_catalog`` lists the sizes
+6..14 in turn.  Inside a size the unit is a self-dual graph or a dual
+pair, the two partners always adjacent; a pair whose members have
+different orders is keyed by the smaller one, so the order-7 size-14
+graphs each precede their order-9 duals.  Units at the same order put
+self-duals first, then sort by decreasing degree sequence, the
+partner's degree sequence, and finally the canonical certificate,
+which settles anything left.  A unit's members are labelled together
+and their entries built then, each carrying its partner's label as its
+dual label (a self-dual graph carries its own).
 
 Certificates and duals come from the census, not from a search or
 ``dual`` here: the census stores every class in its canonical
 labelling, so a class's certificate is its own bits, and keeps the
 dual of every class of a cell, read off the faces it carries with the
 class.  Both its dual-side cells and this module read that one cached
-pairing, so no catalog class is searched, embedded or tested again;
-only a member given in some other labelling is labelled canonically.
+pairing, so no catalog class is searched, embedded or tested again.
 
 The three graphs whose complements are again polyhedral also carry the
 names they go by in the published census of that classification, set
-once every entry is built and only if the input holds exactly that
-trio; the two self-dual ones are told apart by certificate order, a
-convention this module documents rather than a figure-verified
-identity.
+once every entry of their size is built and only if that size holds
+exactly that trio; the two self-dual ones are told apart by
+certificate order, a convention this module documents rather than a
+figure-verified identity.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .duality import _not_polyhedral, is_polyhedral
-from .enumeration import _certificates, enumerate_by_size
+from .duality import is_polyhedral
+from .enumeration import _certificates, order_bounds
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
-from .isomorphism import CanonicalForm, canonical_form, canonical_graph
+from .isomorphism import CanonicalForm, canonical_form
 
 PUBLISHED_NAMES = ("g_1408.12", "g_1408.13", "g_1408.39")
 
@@ -70,22 +72,6 @@ class CatalogEntry(NamedTuple):
         return self.graph.degree_sequence()
 
 
-class Catalog:
-    """The labelled entries, indexed by certificate; compared by identity."""
-
-    __slots__ = ("entries", "by_certificate")
-
-    def __init__(self, entries: tuple[CatalogEntry, ...]) -> None:
-        self.entries = entries
-        self.by_certificate = {e.certificate: e for e in entries}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[CatalogEntry]:
-        return iter(self.entries)
-
-
 _Certs = dict[Graph, tuple[CanonicalForm, CanonicalForm]]
 
 
@@ -97,88 +83,69 @@ def _member_key(g: Graph, partner: Graph, certs: _Certs) -> tuple:
     )
 
 
-def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
-    """Order a duality-closed set of polyhedral graphs and label it.
+@cache
+def order_census(q: int) -> tuple[CatalogEntry, ...]:
+    """Label every polyhedral graph with q edges.
 
-    The input must contain the dual of each of its members (up to
-    isomorphism), or dual_label could not be filled in.  Each member's
-    certificate and its dual's are read from the census, so a member
-    that is not polyhedral raises NotPolyhedralError, and one whose
-    order p and dual order q - p + 2 both exceed MAX_ENUM_ORDER raises
-    the ValueError of ``enumerate_polyhedra``.  A member that is already
-    a census class, as every one ``enumerate_by_size`` returns is, is
-    found by value; any other is labelled canonically first.
+    Reads the certificates of each cell (p, q) of the order window from
+    the census, so an order p whose dual order q - p + 2 also exceeds
+    MAX_ENUM_ORDER raises the ValueError of ``enumerate_polyhedra``.
     """
-    cells: set[tuple[int, int]] = set()
     certs: _Certs = {}  # class -> (certificate, dual's certificate)
-    by_size: dict[int, dict[CanonicalForm, Graph]] = {}
-    for g in graphs:
-        if (g.p, g.q) not in cells:
-            cells.add((g.p, g.q))
-            certs.update(_certificates(g.p, g.q))
-        if g not in certs:
-            g = canonical_graph(g)
-            # the census holds every polyhedral class of its cells
-            if g not in certs:
-                raise _not_polyhedral(g)
-        by_size.setdefault(g.q, {})[certs[g][0]] = g
+    lo, hi = order_bounds(q)
+    for p in range(lo, hi + 1):
+        certs.update(_certificates(p, q))
+    by_cert = {cert: g for g, (cert, _) in certs.items()}
+
+    units = []
+    for g, (cert, cd) in certs.items():
+        if cd == cert:
+            units.append((g.p, 0, _member_key(g, g, certs), (g,)))
+            continue
+        if cert > cd:
+            continue  # each pair is visited once, from its smaller certificate
+        b = by_cert[cd]
+        if g.p != b.p:
+            a, b = (g, b) if g.p < b.p else (b, g)
+            key = _member_key(a, b, certs)
+        else:
+            key, b_key = _member_key(g, b, certs), _member_key(b, g, certs)
+            a, b, key = (g, b, key) if key <= b_key else (b, g, b_key)
+        units.append((a.p, 1, key, (a, b)))
+    units.sort(key=lambda u: u[:3])
 
     entries: list[CatalogEntry] = []
-    for q in sorted(by_size):
-        group = by_size[q]
-        units = []
-        for cert, g in group.items():
-            cd = certs[g][1]
-            if cd == cert:
-                units.append((g.p, 0, _member_key(g, g, certs), (g,)))
-                continue
-            b = group.get(cd)
-            if b is None:
-                raise ValueError(
-                    f"input not closed under duality: "
-                    f"the dual of a ({g.p},{q}) member is missing"
+    nn: dict[int, int] = {}
+    for *_, members in units:
+        labels = []
+        for g in members:
+            nn[g.p] = nn.get(g.p, 0) + 1
+            labels.append(f"{q:02d}{g.p:02d}.{nn[g.p]:02d}")
+        # a self-dual member is its own partner
+        for g, label, dual_label in zip(members, labels, labels[::-1]):
+            cert = certs[g][0]
+            # degree d is p - 1 - d in the complement, which needs 3 or more
+            complement_polyhedral = (
+                max(map(int.bit_count, g.adj)) <= g.p - 4
+                and is_polyhedral(g.complement())
+            )
+            # a polyhedral graph isomorphic to its complement has a
+            # polyhedral complement, so only those few are searched
+            self_complementary = (
+                complement_polyhedral and canonical_form(g.complement()) == cert
+            )
+            entries.append(
+                CatalogEntry(
+                    label=label,
+                    graph=g,
+                    certificate=cert,
+                    self_dual=len(members) == 1,
+                    self_complementary=self_complementary,
+                    complement_polyhedral=complement_polyhedral,
+                    dual_label=dual_label,
+                    published_name=None,
                 )
-            if cert > cd:
-                continue  # each pair is visited once, from its smaller certificate
-            if g.p != b.p:
-                a, b = (g, b) if g.p < b.p else (b, g)
-                key = _member_key(a, b, certs)
-            else:
-                key, b_key = _member_key(g, b, certs), _member_key(b, g, certs)
-                a, b, key = (g, b, key) if key <= b_key else (b, g, b_key)
-            units.append((a.p, 1, key, (a, b)))
-        units.sort(key=lambda u: u[:3])
-        nn: dict[int, int] = {}
-        for *_, members in units:
-            labels = []
-            for g in members:
-                nn[g.p] = nn.get(g.p, 0) + 1
-                labels.append(f"{q:02d}{g.p:02d}.{nn[g.p]:02d}")
-            # a self-dual member is its own partner
-            for g, label, dual_label in zip(members, labels, labels[::-1]):
-                cert = certs[g][0]
-                # degree d is p - 1 - d in the complement, which needs 3 or more
-                complement_polyhedral = (
-                    max(map(int.bit_count, g.adj)) <= g.p - 4
-                    and is_polyhedral(g.complement())
-                )
-                # a polyhedral graph isomorphic to its complement has a
-                # polyhedral complement, so only those few are searched
-                self_complementary = (
-                    complement_polyhedral and canonical_form(g.complement()) == cert
-                )
-                entries.append(
-                    CatalogEntry(
-                        label=label,
-                        graph=g,
-                        certificate=cert,
-                        self_dual=len(members) == 1,
-                        self_complementary=self_complementary,
-                        complement_polyhedral=complement_polyhedral,
-                        dual_label=dual_label,
-                        published_name=None,
-                    )
-                )
+            )
 
     flagged = [i for i, e in enumerate(entries) if e.complement_polyhedral]
     self_dual = sorted(
@@ -193,13 +160,9 @@ def order_census(graphs: Iterable[Graph]) -> tuple[CatalogEntry, ...]:
 
 
 @cache
-def build_catalog() -> Catalog:
-    """Catalog of every polyhedral graph with 6..14 edges."""
-    census: list[Graph] = []
-    for q in range(6, 15):
-        for classes in enumerate_by_size(q).values():
-            census.extend(classes)
-    return Catalog(order_census(census))
+def build_catalog() -> tuple[CatalogEntry, ...]:
+    """Every polyhedral graph with 6..14 edges, labelled, in listing order."""
+    return tuple(e for q in range(6, 15) for e in order_census(q))
 
 
 # ---------------------------------------------------------------------------

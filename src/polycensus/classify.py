@@ -22,7 +22,7 @@ import json
 from functools import cache
 from typing import NamedTuple
 
-from .catalog import CatalogEntry, build_catalog
+from .catalog import CatalogEntry, order_census
 from .duality import _polyhedral
 from .enumeration import (
     _certificates,
@@ -287,17 +287,19 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
             not_3conn += 1
             continue
         winners.append(g)
-        # g is a stored census class: the census holds its certificate
-        found[_certificates(p, q)[g][0]] = g
         found[canonical_form(c)] = c  # the complement is then a solution too
+    if winners:
+        # stored census classes: the census holds their certificates
+        certs = _certificates(p, q)
+        found.update((certs[g][0], g) for g in winners)
     return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 
 
 def _entry(cert: CanonicalForm, g: Graph) -> CatalogEntry:
-    entry = build_catalog().by_certificate.get(cert)
-    if entry is None:
-        raise ClassificationError(f"solution {encode(g)} falls outside the catalog")
-    return entry
+    for entry in order_census(g.q):
+        if entry.certificate == cert:
+            return entry
+    raise ClassificationError(f"solution {encode(g)} falls outside the catalog")
 
 
 def solve_question(prune: bool = True) -> ClassificationReport:

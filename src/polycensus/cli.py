@@ -93,7 +93,7 @@ def cmd_enumerate(args) -> int:
         _emit(graph6_lines(graphs), out)
         return 0
 
-    entries = order_census(g for classes in census.values() for g in classes)
+    entries = order_census(args.q)
     if args.p is not None:
         entries = tuple(e for e in entries if e.p == args.p)
     if args.format == "json":

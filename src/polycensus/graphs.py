@@ -69,10 +69,6 @@ class DegreeSequence:
             raise ValueError("compact form needs single-digit degrees")
         return "".join(str(d) for d in self.degrees)
 
-    @classmethod
-    def from_compact(cls, text: str) -> DegreeSequence:
-        return cls(tuple(int(ch) for ch in text))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 

@@ -71,7 +71,7 @@ def test_criterion_03_8_13_complements():
     graphs = pc.enumerate_polyhedra(8, 13)
     if len(graphs) != 11:
         failures.append(f"count {len(graphs)}, want 11")
-    row = pc.filter_by_degree_sequence(graphs, DegreeSequence.from_compact("44333333"))
+    row = pc.filter_by_degree_sequence(graphs, DegreeSequence((4, 4, 3, 3, 3, 3, 3, 3)))
     if len(row) != 9:
         failures.append(f"44333333 count {len(row)}, want 9")
     for g in row:
@@ -85,7 +85,7 @@ def test_criterion_04_8_14_counts():
     graphs = pc.enumerate_polyhedra(8, 14)
     if len(graphs) != 42:
         failures.append(f"count {len(graphs)}, want 42")
-    row = pc.filter_by_degree_sequence(graphs, DegreeSequence.from_compact("44443333"))
+    row = pc.filter_by_degree_sequence(graphs, DegreeSequence((4, 4, 4, 4, 3, 3, 3, 3)))
     if len(row) != 17:
         failures.append(f"44443333 count {len(row)}, want 17")
     check(4, failures, "(8,14): 42 polyhedra, 17 on the 44443333 row")

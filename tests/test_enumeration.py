@@ -550,7 +550,7 @@ def test_census_has_no_duplicate_classes(census):
 
 def test_filter_by_degree_sequence():
     g14 = enumerate_polyhedra(8, 14)
-    row = pc.DegreeSequence.from_compact("44443333")
+    row = pc.DegreeSequence((4, 4, 4, 4, 3, 3, 3, 3))
     hits = pc.filter_by_degree_sequence(g14, row)
     assert len(hits) == 17
     # a bare tuple works too

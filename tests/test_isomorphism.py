@@ -129,7 +129,7 @@ def test_oracle_agreement_sampled_order_8():
     # same-degree-row pairs from the (8,14) census: the hard negatives
     rng = random.Random(814)
     graphs = pc.filter_by_degree_sequence(
-        pc.enumerate_polyhedra(8, 14), pc.DegreeSequence.from_compact("44443333")
+        pc.enumerate_polyhedra(8, 14), pc.DegreeSequence((4, 4, 4, 4, 3, 3, 3, 3))
     )
     pairs = list(itertools.combinations(graphs, 2))
     for a, b in rng.sample(pairs, 25):

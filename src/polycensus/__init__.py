@@ -55,7 +55,6 @@ from .isomorphism import (
     CanonicalForm,
     are_isomorphic,
     canonical_form,
-    canonical_graph,
     canonical_labeling,
     is_self_complementary,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "CanonicalForm",
     "are_isomorphic",
     "canonical_form",
-    "canonical_graph",
     "canonical_labeling",
     "is_self_complementary",
     "NonPlanarGraphError",

@@ -6,7 +6,10 @@ the expected classification).
 
 The single-graph subcommands (complement, dual, check) take graph6
 strings as arguments or, given none, read one graph6 line per graph
-from stdin, writing one output line per input line.
+from stdin, writing one output line per input line.  They skip
+argparse unless an argument starts with "-" (never a graph6
+character); argparse, imported on first use, serves everything else:
+enumerate, classify, help and usage errors.
 
 Relative --out and --report paths are resolved against the
 POLYCENSUS_OUTDIR environment variable when it is set; a path that
@@ -15,12 +18,12 @@ cannot be written is an input error.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .catalog import (
     catalog_to_json,
@@ -173,9 +176,14 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+_GRAPH_COMMANDS = {"complement": cmd_complement, "dual": cmd_dual, "check": cmd_check}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     # built on first use; each parse_args call fills a fresh namespace
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polycensus",
         description="census and classification of small polyhedral graphs",
@@ -201,22 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--report", help="write the JSON report here")
     cl.set_defaults(func=cmd_classify)
 
-    for name, func, blurb in (
-        ("complement", cmd_complement, "complement of each input graph"),
-        ("dual", cmd_dual, "dual of each polyhedral input graph"),
-        ("check", cmd_check, "print per-graph property booleans"),
+    for name, blurb in (
+        ("complement", "complement of each input graph"),
+        ("dual", "dual of each polyhedral input graph"),
+        ("check", "print per-graph property booleans"),
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("graphs", nargs="*", help="graph6 strings (default: stdin)")
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=_GRAPH_COMMANDS[name])
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    func = _GRAPH_COMMANDS.get(argv[0]) if argv else None
+    if func and not any(arg.startswith("-") for arg in argv[1:]):
+        args = SimpleNamespace(graphs=argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
+        func = args.func
     try:
-        return args.func(args)
+        return func(args)
     except ClassificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

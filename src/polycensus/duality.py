@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 from .graphs import _BIT, Graph, bits
 from .isomorphism import are_isomorphic
-from .planarity import _plane
+from .planarity import _normal_form, _plane
 
 
 class NotPolyhedralError(ValueError):
@@ -34,13 +34,16 @@ def _not_polyhedral(g: Graph) -> NotPolyhedralError:
     return NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
 
 
-def _polyhedral(g: Graph) -> tuple[bool, list[int] | None]:
+def _polyhedral(g: Graph, ordered: bool = False) -> tuple[bool, list[int] | None]:
     """Whether ``g`` is planar, with the vertex masks of its faces when
     it is also 3-connected, else None: one embedding, then the face
-    test."""
+    test.  The faces are in ``embed``'s order when ``ordered``, else in
+    any order."""
     planar, walks = _plane(g)
     if walks is None:
         return planar, None
+    if ordered:
+        walks = _normal_form(walks)
     faces = [sum(map(_BIT.__getitem__, f)) for f in walks]
     return True, faces if _three_connected_by_faces(g, faces) else None
 
@@ -58,7 +61,7 @@ def dual(g: Graph) -> Graph:
     class is meaningful.  Embeds once: the embedding is the planarity
     test, and its faces give 3-connectivity and the dual.
     """
-    faces = _polyhedral(g)[1]
+    faces = _polyhedral(g, ordered=True)[1]
     if faces is None:
         raise _not_polyhedral(g)
     return _face_graph(g, faces)

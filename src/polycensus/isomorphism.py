@@ -14,8 +14,7 @@ w keeps the class's colour, the other members take the next one, and
 the result is refined.  A leaf has p colours and reads as a labelling
 (vertex -> position).  The labelling returned is the first leaf, in
 this depth-first order, whose packed adjacency bits are least; the
-certificate, ``canonical_graph`` and every catalog label read that
-exact leaf.  Four rules cut the work and keep that leaf:
+certificate and every catalog label read that exact leaf.  Four rules cut the work and keep that leaf:
 
 * Refinement stops at a round that yields p classes: one more round
   would rank the same keys in the same order.
@@ -253,10 +252,6 @@ def _labelled_search(
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation (old vertex -> canonical position) realizing the certificate."""
     return _search(g.p, g.adj)[0]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(canonical_labeling(g))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

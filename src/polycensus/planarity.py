@@ -5,11 +5,12 @@ the block search once and builds an explicit embedding of each block
 face by face (insert one fragment path at a time, always handling a
 fragment with the fewest admissible faces first), on bitmasks, each
 vertex holding the mask of the faces through it.  It returns the
-faces, each a vertex walk in a normal form, when the graph is
-2-connected.  ``is_planar`` and ``embed`` read it, and so
-does ``duality._polyhedral``, which serves ``dual``, ``is_polyhedral``,
-``check`` and the complement scan: their input is embedded once, and
-the faces, read as vertex sets, give 3-connectivity and the dual.
+face walks when the graph is 2-connected.  ``is_planar`` and
+``embed`` read it, and so does ``duality._polyhedral``, which serves
+``dual``, ``is_polyhedral``, ``check`` and the complement scan: their
+input is embedded once, and the faces, read as vertex sets, give
+3-connectivity and the dual.  Only ``embed`` and ``dual`` read the
+order of the faces, so only they put the walks in ``_normal_form``.
 The tests check planarity against a direct search for a K5 or K3,3
 subdivision that knows nothing about embeddings, and the faces against
 the plain embedder this one replaced.
@@ -270,9 +271,11 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # the one block search and its public entry points
 
-def _plane(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Whether ``g`` is planar, with the faces ``embed`` returns when it
-    is also 2-connected (one block on all p vertices), else None.
+def _plane(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Whether ``g`` is planar, with the face walks of its embedding
+    when it is also 2-connected (one block on all p vertices), else
+    None.  The walks are in no normal form: ``_normal_form`` gives the
+    one ``embed`` returns.
 
     More than 3p - 6 edges is impossible for a planar simple graph on
     p >= 3 vertices, so such a graph is rejected before the block
@@ -287,13 +290,20 @@ def _plane(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
         return False, None
     if len(pieces) != 1 or len(pieces[0][0]) != g.p:
         return True, None
+    return True, walks[0]
+
+
+def _normal_form(walks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Each walk from its least cyclic shift, the walks sorted by length,
+    then content: the order ``embed`` returns and ``dual`` numbers its
+    vertices in."""
     least = []
-    for f in walks[0]:
+    for f in walks:
         # a walk has distinct vertices, so its least rotation starts at
         # its least vertex
         i = f.index(min(f))
         least.append(f[i:] + f[:i])
-    return True, tuple(sorted(least, key=lambda f: (len(f), f)))
+    return tuple(sorted(least, key=lambda f: (len(f), f)))
 
 
 def is_planar(g: Graph) -> bool:
@@ -315,4 +325,4 @@ def embed(g: Graph) -> tuple[tuple[int, ...], ...]:
         raise NonPlanarGraphError("graph is not planar")
     if faces is None:
         raise ValueError("embedding requires a 2-connected graph")
-    return faces
+    return _normal_form(faces)

@@ -18,7 +18,7 @@ from polycensus import (
     Graph6Error,
     NonPlanarGraphError,
     canonical_form,
-    canonical_graph,
+    canonical_labeling,
     is_3_connected,
     is_planar,
 )
@@ -30,6 +30,12 @@ GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 def empty_graph(p: int) -> Graph:
     return Graph(p, (0,) * p)
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """``g`` relabelled by ``canonical_labeling``: the census and the
+    catalog store each class this way."""
+    return g.relabel(canonical_labeling(g))
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:

@@ -186,6 +186,37 @@ print(len(searches))
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
 
 
+def test_cold_check_skips_argparse():
+    # a cold single-graph call never imports argparse, a share of its
+    # start-up worth keeping; enumerate in the same process still loads it
+    script = """
+import sys
+import polycensus.cli
+code = polycensus.cli.main(["check", "C~"])
+print("argparse" in sys.modules, code)
+code = polycensus.cli.main(["enumerate", "--q", "6"])
+print("argparse" in sys.modules, code)
+"""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.splitlines() == [
+        "planar=true 3-connected=true polyhedral=true "
+        "self-dual=true self-complementary=false",
+        "False 0",
+        "C~",
+        "True 0",
+    ]
+
+
 def test_complement_pipeline(capsys, monkeypatch):
     feed(monkeypatch, "C~\n")
     code, out, _ = run(capsys, "complement")
@@ -360,6 +391,59 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# (command, graph arguments, stdin or None, exit code); K5 is D~{, K3,3
+# EFz_, C5 Dhc and the octahedron E]~o
+GRAPH_CALLS = [
+    ("check", ["C~"], None, 0),
+    ("check", ["D~{", "EFz_", "Dhc", "E]~o"], None, 0),
+    ("complement", ["C~", "D~{", "Dhc"], None, 0),
+    ("dual", ["C~", "E]~o"], None, 0),
+    ("dual", ["E]~o", "EFz_"], None, 2),  # one line out, then the error
+    ("dual", ["Dhc"], None, 2),
+    ("check", ["C!"], None, 2),  # malformed graph6, "position 1"
+    ("complement", ["C~", "C!"], None, 2),
+    ("check", [], "C~\n\n  Dhc  \nEFz_\n", 0),
+    ("dual", [], "E]~o\nC~\n", 0),
+    ("check", [], "", 2),
+    ("complement", [], "", 2),
+    ("dual", [], "\n", 2),
+]
+
+
+@pytest.mark.parametrize("cmd, graphs, stdin, code", GRAPH_CALLS)
+def test_graph_commands_answer_as_through_argparse(capsys, monkeypatch, cmd, graphs, stdin, code):
+    # check, complement and dual run without argparse; through it they
+    # give the same exit code, stdout and stderr
+    cli.build_parser()  # cached: built with the commands before they are hidden
+    answers = []
+    for commands in (cli._GRAPH_COMMANDS, {}):
+        monkeypatch.setattr(cli, "_GRAPH_COMMANDS", commands)
+        if stdin is not None:
+            feed(monkeypatch, stdin)
+        answers.append(run(capsys, cmd, *graphs))
+    direct, parsed = answers
+    assert direct == parsed
+    assert direct[0] == code and (direct[2] == "") == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify", "complement", "dual", "check"])
+def test_every_subcommand_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: polycensus {command} ")
+
+
+def test_an_option_sends_graph_commands_to_argparse(capsys):
+    # "-" is not a graph6 character: an argument starting with it is an
+    # option, which argparse rejects
+    for argv in (["check", "-x"], ["dual", "C~", "-x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
 def test_pipeline_chain(capsys, monkeypatch):

@@ -45,11 +45,7 @@ from .graphs import (
     DegreeSequence,
     Graph,
     complete,
-    complete_bipartite,
     complete_multipartite,
-    cycle,
-    path,
-    wheel,
 )
 from .isomorphism import (
     CanonicalForm,
@@ -99,11 +95,7 @@ __all__ = [
     "DegreeSequence",
     "Graph",
     "complete",
-    "complete_bipartite",
     "complete_multipartite",
-    "cycle",
-    "path",
-    "wheel",
     "CanonicalForm",
     "are_isomorphic",
     "canonical_form",

@@ -229,10 +229,9 @@ def _keep(found: dict[bytes, _Entry], h: Graph, faces: _Faces) -> None:
 
 
 def _classes(found: dict[bytes, _Entry]) -> _Classes:
-    """The classes filed in ``found``, sorted by certificate, whose first
-    byte is the order."""
+    """The classes filed in ``found``, sorted by certificate."""
     return tuple(
-        (Graph._derived(c[0], rows), faces, gens)
+        (Graph._derived(len(rows), rows), faces, gens)
         for c, (rows, faces, gens) in sorted(found.items())
     )
 
@@ -574,7 +573,7 @@ def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...
     classes = _embedded_census(r)[q]
     duals = [d for chunk in _chunked(_duals, classes) for d in chunk]
     return tuple(
-        (h, CanonicalForm(c), Graph._derived(c[0], rows))
+        (h, CanonicalForm(c), Graph._derived(len(rows), rows))
         for (h, _, _), (c, rows) in zip(classes, duals)
     )
 

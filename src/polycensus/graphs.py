@@ -1,6 +1,8 @@
 """Immutable simple graphs on at most 16 vertices, stored as adjacency bit rows.
 
-Also the low-level walk the other modules share: ``bits`` over a row.
+Also the low-level walk the other modules share, ``bits`` over a row,
+and the two named graphs the package and its README use: ``complete``
+and ``complete_multipartite``.
 """
 
 from __future__ import annotations
@@ -244,32 +246,13 @@ class Graph:
 
 
 # ====== Named constructions ======
+# K_p, whose K4 seeds the census, and the complete multipartite graphs,
+# such as the octahedron K2,2,2; tests build the rest from edge lists.
 
 
 def complete(p: int) -> Graph:
     full = (1 << p) - 1
     return Graph(p, tuple(full ^ (1 << v) for v in range(p)))
-
-
-def cycle(p: int) -> Graph:
-    if p < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(p, [(v, (v + 1) % p) for v in range(p)])
-
-
-def path(p: int) -> Graph:
-    if p < 1:
-        raise ValueError("path needs at least 1 vertex")
-    return Graph.from_edges(p, [(v, v + 1) for v in range(p - 1)])
-
-
-def wheel(rim: int) -> Graph:
-    """Hub vertex ``rim`` joined to every vertex of an outer ``rim``-cycle."""
-    if rim < 3:
-        raise ValueError("wheel rim needs at least 3 vertices")
-    edges = [(v, (v + 1) % rim) for v in range(rim)]
-    edges += [(v, rim) for v in range(rim)]
-    return Graph.from_edges(rim + 1, edges)
 
 
 def complete_multipartite(*sizes: int) -> Graph:
@@ -281,7 +264,3 @@ def complete_multipartite(*sizes: int) -> Graph:
         part += [i] * s
     edges = [(u, v) for u, v in combinations(range(p), 2) if part[u] != part[v]]
     return Graph.from_edges(p, edges)
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return complete_multipartite(a, b)

@@ -32,6 +32,20 @@ def empty_graph(p: int) -> Graph:
     return Graph(p, (0,) * p)
 
 
+def path(p: int) -> Graph:
+    return Graph.from_edges(p, [(v, v + 1) for v in range(p - 1)])
+
+
+def cycle(p: int) -> Graph:
+    return Graph.from_edges(p, [(v, (v + 1) % p) for v in range(p)])
+
+
+def wheel(rim: int) -> Graph:
+    """Hub vertex ``rim`` joined to every vertex of the cycle on 0..rim-1."""
+    spokes = [(v, rim) for v in range(rim)]
+    return Graph.from_edges(rim + 1, [*cycle(rim).edges(), *spokes])
+
+
 def canonical_graph(g: Graph) -> Graph:
     """``g`` relabelled by ``canonical_labeling``: the census and the
     catalog store each class this way."""
@@ -254,6 +268,55 @@ def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
                 if cf not in found:
                     found[cf] = canonical_graph(g)
     return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
+
+
+# ---------------------------------------------------------------------------
+# self-complementary graphs from their complementing permutations
+
+def _partitions(m: int, cap: int):
+    """Partitions of m into weakly decreasing parts of at most cap."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, cap), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def self_complementary_graphs(p: int) -> list[Graph]:
+    """Every labelled graph that one fixed complementing permutation of
+    each allowed cycle type maps onto its complement.
+
+    A complementing permutation has every cycle length divisible by 4,
+    apart from one fixed point when p = 1 (mod 4) (Ringel 1963; Sachs
+    1962), so each self-complementary class on p vertices has a member
+    here.  The permutation takes edges to non-edges, so along each orbit
+    of vertex pairs a graph holds every other pair: two choices per
+    orbit, one graph for each permutation and choice.  Shares nothing
+    with the census.
+    """
+    if p % 4 > 1:
+        return []
+    graphs = []
+    for parts in _partitions(p // 4, p // 4):
+        sigma = list(range(p))  # the last vertex stays fixed when p is odd
+        start = 0
+        for n in (4 * part for part in parts):
+            for i in range(n):
+                sigma[start + i] = start + (i + 1) % n
+            start += n
+        orbits, seen = [], set()
+        for pair in itertools.combinations(range(p), 2):
+            orbit = []
+            while pair not in seen:
+                seen.add(pair)
+                orbit.append(pair)
+                pair = tuple(sorted((sigma[pair[0]], sigma[pair[1]])))
+            if orbit:
+                orbits.append(orbit)
+        for choice in itertools.product((0, 1), repeat=len(orbits)):
+            edges = [e for orbit, c in zip(orbits, choice) for e in orbit[c::2]]
+            graphs.append(Graph.from_edges(p, edges))
+    return graphs
 
 
 # ---------------------------------------------------------------------------

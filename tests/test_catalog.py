@@ -17,7 +17,7 @@ from polycensus import (
     order_census,
     planarity,
 )
-from tests.oracles import canonical_graph, empty_graph
+from tests.oracles import canonical_graph, cycle, empty_graph
 
 # sha256 over catalog_to_json of every class of each size q = 6..17,
 # concatenated in order; the `enumerate --q 6..17 --format json` stdout
@@ -233,7 +233,7 @@ def test_dot_export(catalog):
 
 
 def test_graph6_lines(catalog):
-    text = graph6_lines([pc.complete(4), pc.cycle(5)])
+    text = graph6_lines([pc.complete(4), cycle(5)])
     assert text == "C~\nDhc\n"
     assert catalog_to_json(catalog) == catalog_to_json(iter(catalog))
 

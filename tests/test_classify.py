@@ -13,6 +13,11 @@ from polycensus import (
     verify_planar_complement_bound,
     verify_remark_8_14,
 )
+from tests.oracles import (
+    brute_3_connected,
+    kuratowski_oracle,
+    self_complementary_graphs,
+)
 
 
 def test_prune_order_trace():
@@ -159,3 +164,23 @@ def test_equal_order_size_system():
     # complement, which the feasibility window refuses
     assert equal_order_size_system(lambda p: p * (p - 1)) == ()
     assert verify_remark_8_14()
+
+
+def test_solutions_from_the_self_complementary_side():
+    """The three solutions again, without the census: the
+    self-complementary graphs on 8 and 9 vertices (A000171: 10 and 36
+    classes), tested by the subdivision search and the cut search."""
+    classes = {}
+    for p, labelled, count in ((8, 272, 10), (9, 1056, 36)):
+        graphs = self_complementary_graphs(p)
+        assert len(graphs) == labelled
+        classes[p] = {pc.canonical_form(g): g for g in graphs}
+        assert len(classes[p]) == count
+        assert all(map(pc.is_self_complementary, classes[p].values()))
+    assert all(map(kuratowski_oracle, classes[8].values()))
+    # no planar graph on 9 vertices has a planar complement
+    assert not any(map(kuratowski_oracle, classes[9].values()))
+    polyhedral = [g for g in classes[8].values() if brute_3_connected(g)]
+    solutions = {e.certificate for e in solve_question().solutions}
+    assert len(polyhedral) == 3 and set(map(pc.canonical_form, polyhedral)) == solutions
+    assert sum(map(pc.is_self_dual, polyhedral)) == 2

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 import polycensus as pc
 from polycensus import cli, planarity
 from polycensus.cli import main
+from tests.oracles import wheel
 
 
 def run(capsys, *argv):
@@ -225,7 +227,7 @@ def test_complement_pipeline(capsys, monkeypatch):
 
 
 def test_complement_twice_is_identity(capsys):
-    line = pc.encode(pc.wheel(5))
+    line = pc.encode(wheel(5))
     code, once, _ = run(capsys, "complement", line)
     code, twice, _ = run(capsys, "complement", once.strip())
     assert twice.strip() == line
@@ -288,7 +290,7 @@ def test_check_embeds_each_input_once(capsys, monkeypatch):
     assert calls == ["embed"]
     calls.clear()
     # W5 has 2p = q + 2: its dual is built from the same faces
-    code, out, _ = run(capsys, "check", pc.encode(pc.wheel(5)))
+    code, out, _ = run(capsys, "check", pc.encode(wheel(5)))
     assert code == 0 and "self-dual=true" in out
     assert calls == ["embed"]
     calls.clear()
@@ -310,7 +312,7 @@ def test_check_embeds_each_input_once(capsys, monkeypatch):
     k4s = pc.Graph.from_edges(
         7, [(a, b) for k in (0, 3) for a in range(k, k + 4) for b in range(a + 1, k + 4)]
     )  # two K4s sharing vertex 3
-    k33 = pc.complete_bipartite(3, 3)
+    k33 = pc.complete_multipartite(3, 3)
     hung = pc.Graph.from_edges(8, [*k33.edges(), (0, 6), (6, 7), (7, 0)])
     for g, planar in ((k4s, "true"), (hung, "false")):
         pieces.clear()
@@ -339,7 +341,12 @@ def test_check_on_the_largest_inputs(capsys):
 
 def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
     # the parser is built once; an argument list must not leak into the
-    # next call, which reads stdin
+    # next call: --p into an enumerate without it, graphs into a check
+    # that reads stdin
+    code, out, _ = run(capsys, "enumerate", "--q", "11", "--p", "7")
+    assert code == 0 and out.split() == ["FsXPw", "F{OXw"]
+    code, out, _ = run(capsys, "enumerate", "--q", "11")
+    assert code == 0 and out.split() == ["E]lw", "Ed^w", "FsXPw", "F{OXw"]
     code, out, _ = run(capsys, "check", "C~")
     assert code == 0 and out.startswith("planar=true 3-connected=true")
     feed(monkeypatch, "Dhc\n")  # C5
@@ -472,6 +479,15 @@ def test_all_lists_exactly_the_public_names():
     }
     assert len(pc.__all__) == len(set(pc.__all__))
     assert set(pc.__all__) == public
+    # the README's Library section names every public name, in a code
+    # span or a >>> line, and every pc.<name> it uses is public
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library") : readme.index("## Command line")]
+    prompts = [line for line in library.splitlines() if line.startswith(">>> ")]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", library, flags=re.S))
+    named = set(re.findall(r"\w+", " ".join(prompts + spans)))
+    assert sorted(set(pc.__all__) - named) == []
+    assert sorted(set(re.findall(r"\bpc\.(\w+)", library)) - set(pc.__all__)) == []
 
 
 def test_traced_layers_exist():

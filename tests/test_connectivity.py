@@ -4,10 +4,12 @@ import polycensus as pc
 from polycensus.connectivity import _connected_within
 from tests.oracles import (
     brute_3_connected,
+    cycle,
     empty_graph,
     neighbor_sets,
     sample_graphs,
     set_connected,
+    wheel,
 )
 
 
@@ -17,7 +19,7 @@ def is_connected(g):
 
 
 def test_is_connected_examples():
-    assert is_connected(pc.cycle(5))
+    assert is_connected(cycle(5))
     assert is_connected(empty_graph(1))
     assert not is_connected(empty_graph(2))
     two_triangles = pc.Graph.from_edges(
@@ -34,9 +36,9 @@ def test_is_connected_against_set_bfs(universe):
 
 def test_3_connected_examples():
     assert pc.is_3_connected(pc.complete(4))
-    assert pc.is_3_connected(pc.wheel(6))
-    assert pc.is_3_connected(pc.complete_bipartite(3, 3))
-    assert not pc.is_3_connected(pc.cycle(5))
+    assert pc.is_3_connected(wheel(6))
+    assert pc.is_3_connected(pc.complete_multipartite(3, 3))
+    assert not pc.is_3_connected(cycle(5))
     assert not pc.is_3_connected(pc.complete(3))  # below order 4 by definition
     # two triangles glued along an edge: a 2-cut
     g = pc.Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])

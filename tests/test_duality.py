@@ -11,10 +11,12 @@ from polycensus import planarity
 from polycensus.duality import _three_connected_by_faces
 from tests.oracles import (
     brute_3_connected,
+    cycle,
     icosahedron,
     kuratowski_oracle,
     petersen,
     shuffled,
+    wheel,
 )
 
 
@@ -38,7 +40,7 @@ def test_is_polyhedral():
     assert is_polyhedral(pc.complete(4))
     assert is_polyhedral(cube())
     assert is_polyhedral(pc.complete_multipartite(2, 2, 2))
-    assert not is_polyhedral(pc.cycle(5))  # planar, not 3-connected
+    assert not is_polyhedral(cycle(5))  # planar, not 3-connected
     assert not is_polyhedral(pc.complete(5))  # 3-connected, not planar
     assert not is_polyhedral(pc.complete(3))
 
@@ -53,15 +55,15 @@ def test_dual_parameters():
 
 
 def test_dual_of_dual():
-    for g in (pc.complete(4), cube(), pc.wheel(6)):
+    for g in (pc.complete(4), cube(), wheel(6)):
         assert pc.are_isomorphic(dual(dual(g)), g)
 
 
 def test_dual_rejects_non_polyhedra():
     with pytest.raises(NotPolyhedralError):
-        dual(pc.cycle(6))
+        dual(cycle(6))
     with pytest.raises(NotPolyhedralError):
-        dual(pc.complete_bipartite(3, 3))
+        dual(pc.complete_multipartite(3, 3))
     # minimum degree 3 but a cut vertex: two K4s sharing vertex 0
     second = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     bowtie = pc.Graph.from_edges(7, [*pc.complete(4).edges(), *second])
@@ -71,7 +73,7 @@ def test_dual_rejects_non_polyhedra():
     assert not is_polyhedral(bowtie)
     # 3-connected and non-planar: K5, K6 and K4,4 exceed 3p - 6 edges,
     # the Petersen graph does not and fails inside the embedder
-    for g in (pc.complete(5), pc.complete(6), pc.complete_bipartite(4, 4), petersen()):
+    for g in (pc.complete(5), pc.complete(6), pc.complete_multipartite(4, 4), petersen()):
         assert pc.is_3_connected(g)
         with pytest.raises(NotPolyhedralError):
             dual(g)
@@ -106,7 +108,7 @@ def test_dual_bytes_are_pinned(capsys):
     # faces are numbered in the embedder's sorted order, so the labelled
     # dual, and what `polycensus dual` prints, stay byte for byte the same
     assert pc.encode(dual(cube())) == "E}]w"
-    assert pc.encode(dual(pc.wheel(5))) == "EpVw"
+    assert pc.encode(dual(wheel(5))) == "EpVw"
     assert pc.encode(dual(cuboctahedron())) == "M????BSyDaHoIoDo?"
     # the icosahedron's dual, the dodecahedron, has more vertices than a
     # Graph may hold
@@ -140,7 +142,7 @@ def test_self_dual_examples():
     assert is_self_dual(pc.complete(4))
     # every wheel is self-dual: the pyramid over an n-gon
     for rim in (4, 5, 6):
-        assert is_self_dual(pc.wheel(rim))
+        assert is_self_dual(wheel(rim))
     assert not is_self_dual(cube())
     assert not is_self_dual(pc.complete_multipartite(2, 2, 2))
 
@@ -154,9 +156,9 @@ def test_self_dual_past_the_order_limit():
     assert not is_self_dual(ico)
     # a non-polyhedral input is still rejected, whatever its face count
     with pytest.raises(NotPolyhedralError):
-        is_self_dual(pc.complete_bipartite(3, 3))
+        is_self_dual(pc.complete_multipartite(3, 3))
     with pytest.raises(NotPolyhedralError):
-        is_self_dual(pc.cycle(6))
+        is_self_dual(cycle(6))
 
 
 def test_dual_pairs_in_census():
@@ -218,8 +220,8 @@ def test_face_test_against_brute_force(universe):
                 graphs += [g.remove_edge(a, b) for a, b in g.edges()]
     small = [t for p in (4, 5, 6, 7) for t in pc.triangulations(p)]
     graphs += [_glued_along_an_edge(s, t) for s in small for t in small]
-    graphs += [pc.cycle(n) for n in range(3, 17)]
-    graphs += [pc.complete_bipartite(2, n) for n in range(2, 15)]
+    graphs += [cycle(n) for n in range(3, 17)]
+    graphs += [pc.complete_multipartite(2, n) for n in range(2, 15)]
     verdicts = {False: 0, True: 0}
     for g in graphs:
         faces = [sum(1 << x for x in f) for f in embed(g)]

@@ -131,8 +131,13 @@ def test_census_against_oracle_exhaustive():
 
 
 def test_census_against_oracle_order_8():
-    for q in (12, 13, 14):
-        assert certs(enumerate_polyhedra(8, q)) == certs(exhaustive_polyhedra(8, q))
+    # every size of the order: all 257 classes (A000944)
+    total = 0
+    for q in range(12, 19):
+        oracle = certs(exhaustive_polyhedra(8, q))
+        assert certs(enumerate_polyhedra(8, q)) == oracle, q
+        total += len(oracle)
+    assert total == 257
 
 
 def test_size_totals_against_a002840():

@@ -6,13 +6,19 @@ from hypothesis import given
 import polycensus as pc
 from polycensus import Graph6Error, decode, encode
 from tests import strategies
-from tests.oracles import empty_graph, plain_decode, plain_encode, random_graph
+from tests.oracles import (
+    cycle,
+    empty_graph,
+    plain_decode,
+    plain_encode,
+    random_graph,
+)
 
 # frozen reference strings, worked out by hand from the format spec
 KNOWN = [
     (pc.complete(4), "C~"),
     (pc.complete(3), "Bw"),
-    (pc.cycle(5), "Dhc"),
+    (cycle(5), "Dhc"),
     (empty_graph(1), "@"),
 ]
 

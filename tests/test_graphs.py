@@ -8,7 +8,7 @@ import polycensus as pc
 from polycensus import DegreeSequence, Graph
 from polycensus.graphs import bits
 from tests import strategies
-from tests.oracles import empty_graph, icosahedron
+from tests.oracles import cycle, empty_graph, icosahedron, path, wheel
 
 
 def test_from_edges_roundtrip():
@@ -21,7 +21,7 @@ def test_from_edges_roundtrip():
 
 
 def test_degrees_and_neighbors():
-    g = pc.wheel(4)
+    g = wheel(4)
     # hub is vertex 4, rim 0..3
     assert g.degree(4) == 4
     assert sorted(g.neighbors(4)) == [0, 1, 2, 3]
@@ -75,10 +75,10 @@ def test_public_construction_checks_what_derived_graphs_skip():
             Graph.from_edges(p, edges)
     for u, v in [(1, 1), (0, 3), (-1, 0)]:
         with pytest.raises(ValueError):
-            pc.path(3).add_edge(u, v)
+            path(3).add_edge(u, v)
     with pytest.raises(ValueError, match="order must be 1..16"):
         pc.dual(icosahedron())  # the dodecahedron: 20 vertices
-    g = pc.wheel(5)
+    g = wheel(5)
     for h in (g.remove_edge(0, 5), g.relabel((5, 4, 3, 2, 1, 0)), g.complement()):
         assert h == Graph(h.p, h.adj)
 
@@ -86,7 +86,7 @@ def test_public_construction_checks_what_derived_graphs_skip():
 def test_value_semantics():
     """Graphs, degree sequences and certificates are immutable values:
     equal by fields, hashed as the tuple of their fields."""
-    g = pc.cycle(4)
+    g = cycle(4)
     cf = pc.canonical_form(g)
     cases = [
         (g, {"p": 4, "adj": (0b1010, 0b0101, 0b1010, 0b0101)}),
@@ -103,7 +103,7 @@ def test_value_semantics():
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, fields[name])
-    assert g != pc.path(4) and g != Graph(5, (0,) * 5)
+    assert g != path(4) and g != Graph(5, (0,) * 5)
     assert g.degree_sequence() != DegreeSequence((2, 2, 1, 1))
     # no equality across classes with the same fields
     assert g != (4, g.adj) and DegreeSequence((0,)) != (0,)
@@ -124,7 +124,7 @@ def test_add_remove_edge():
 
 def test_complement():
     assert pc.complete(4).complement() == empty_graph(4)
-    c5 = pc.cycle(5)
+    c5 = cycle(5)
     assert c5.complement().degree_sequence() == DegreeSequence((2, 2, 2, 2, 2))
     assert c5.complement().complement() == c5
 
@@ -136,7 +136,7 @@ def test_complement_involution(g):
 
 
 def test_relabel():
-    g = pc.path(4)  # 0-1-2-3
+    g = path(4)  # 0-1-2-3
     assert g.relabel((3, 2, 1, 0)) == g  # reversal maps the path onto itself
     h = g.relabel((1, 0, 2, 3))
     assert h != g and h.q == g.q
@@ -147,10 +147,7 @@ def test_relabel():
 
 def test_builders():
     assert pc.complete(5).q == 10
-    assert pc.cycle(6).q == 6
-    assert pc.path(6).q == 5
-    assert pc.wheel(6).q == 12
-    assert pc.complete_bipartite(3, 3).q == 9
+    assert pc.complete_multipartite(3, 3).q == 9
     octa = pc.complete_multipartite(2, 2, 2)
     assert octa.p == 6 and octa.q == 12
     assert octa.degree_sequence() == DegreeSequence((4,) * 6)

@@ -18,10 +18,13 @@ from tests.oracles import (
     all_graphs_up_to_iso,
     brute_certificate,
     brute_isomorphic,
+    cycle,
     empty_graph,
+    path,
     plain_canonical_labeling,
     random_graph,
     shuffled,
+    wheel,
 )
 
 
@@ -59,7 +62,7 @@ SYMMETRIC = {
     "4x4 rook": joined_when(16, lambda u, v: (u // 4 == v // 4) != (u % 4 == v % 4)),
     "Shrikhande": joined_when(16, shrikhande_step),
     "Clebsch": joined_when(16, lambda u, v: (u ^ v).bit_count() in (1, 4)),
-    "C16": pc.cycle(16),
+    "C16": cycle(16),
     "Paley(13)": joined_when(13, lambda u, v: (u - v) % 13 in {1, 3, 4, 9, 10, 12}),
     "complement of 6K2": disjoint_cliques(6, 2).complement(),
 }
@@ -79,7 +82,7 @@ def test_class_counts_match_published_sequence():
 
 
 def test_certificate_embeds_order_and_size():
-    cf = canonical_form(pc.cycle(5))
+    cf = canonical_form(cycle(5))
     assert cf.p == 5
     assert cf.q == 5
 
@@ -160,7 +163,7 @@ def test_brute_certificate_equivalence():
 
 def test_c8_vs_two_squares():
     # both 2-regular on 8 vertices; only one is connected
-    c8 = pc.cycle(8)
+    c8 = cycle(8)
     squares = pc.Graph.from_edges(
         8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
     )
@@ -170,15 +173,15 @@ def test_c8_vs_two_squares():
 
 
 def test_are_isomorphic_trivia():
-    assert not pc.are_isomorphic(pc.complete(4), pc.cycle(4))
-    assert not pc.are_isomorphic(pc.cycle(4), pc.cycle(5))
-    g = pc.wheel(5)
+    assert not pc.are_isomorphic(pc.complete(4), cycle(4))
+    assert not pc.are_isomorphic(cycle(4), cycle(5))
+    g = wheel(5)
     assert pc.are_isomorphic(g, g.relabel((5, 4, 3, 2, 1, 0)))
 
 
 def test_is_self_complementary():
-    assert pc.is_self_complementary(pc.cycle(5))
-    assert pc.is_self_complementary(pc.path(4))
+    assert pc.is_self_complementary(cycle(5))
+    assert pc.is_self_complementary(path(4))
     assert not pc.is_self_complementary(pc.complete(4))
     assert not pc.is_self_complementary(empty_graph(6))
 

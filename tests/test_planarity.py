@@ -9,10 +9,12 @@ from tests.oracles import (
     empty_graph,
     icosahedron,
     kuratowski_oracle,
+    path,
     plain_embed_block,
     random_graph,
     sample_graphs,
     shuffled,
+    wheel,
 )
 
 
@@ -35,16 +37,16 @@ def petersen_minus_vertex():
 def test_planarity_basics():
     assert is_planar(pc.complete(4))
     assert is_planar(cube())
-    assert is_planar(pc.path(8))
+    assert is_planar(path(8))
     assert not is_planar(pc.complete(5))
-    assert not is_planar(pc.complete_bipartite(3, 3))
+    assert not is_planar(pc.complete_multipartite(3, 3))
 
 
 def test_kuratowski_examples():
     assert kuratowski_oracle(pc.complete(4))
-    assert kuratowski_oracle(pc.path(8))  # trees are planar
+    assert kuratowski_oracle(path(8))  # trees are planar
     assert not kuratowski_oracle(pc.complete(5))
-    assert not kuratowski_oracle(pc.complete_bipartite(3, 3))
+    assert not kuratowski_oracle(pc.complete_multipartite(3, 3))
     g = petersen_minus_vertex()
     assert not kuratowski_oracle(g)
     assert not is_planar(g)
@@ -84,7 +86,7 @@ def test_embed_face_counts():
     assert sorted(map(len, embed(pc.complete(4)))) == [3, 3, 3, 3]
     assert sorted(map(len, embed(cube()))) == [4] * 6
     # square pyramid: four triangles and the base
-    assert sorted(map(len, embed(pc.wheel(4)))) == [3, 3, 3, 3, 4]
+    assert sorted(map(len, embed(wheel(4)))) == [3, 3, 3, 3, 4]
     assert sorted(map(len, embed(icosahedron()))) == [3] * 20
     for g in pc.enumerate_polyhedra(8, 14):
         assert len(embed(g)) == 8
@@ -139,7 +141,7 @@ def test_face_size_multiset_is_embedding_invariant(census):
 def test_embed_face_order():
     # dual numbers its vertices in this order
     assert embed(pc.complete(4)) == ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
-    assert embed(pc.wheel(4)) == (
+    assert embed(wheel(4)) == (
         (0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 3, 4), (0, 3, 2, 1),
     )
 

@@ -159,7 +159,6 @@ def order_census(q: int) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-@cache
 def build_catalog() -> tuple[CatalogEntry, ...]:
     """Every polyhedral graph with 6..14 edges, labelled, in listing order."""
     return tuple(e for q in range(6, 15) for e in order_census(q))

@@ -24,15 +24,10 @@ from typing import NamedTuple
 
 from .catalog import CatalogEntry, order_census
 from .duality import _polyhedral
-from .enumeration import (
-    _certificates,
-    enumerate_polyhedra,
-    filter_by_degree_sequence,
-    triangulations,
-)
+from .enumeration import enumerate_polyhedra, filter_by_degree_sequence, triangulations
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
-from .isomorphism import CanonicalForm, canonical_form
+from .isomorphism import canonical_labeling
 from .planarity import is_planar
 
 
@@ -62,7 +57,6 @@ class PruneTrace(NamedTuple):
         return tuple(s.p for s in self.steps if s.verdict == "candidate")
 
 
-@cache
 def verify_planar_complement_bound() -> bool:
     """No 9-vertex graph and its complement are both planar.
 
@@ -222,16 +216,7 @@ class ClassificationReport(NamedTuple):
         return {
             "report_version": 1,
             "pruned": self.pruned,
-            "order_pruning": [
-                {
-                    "p": s.p,
-                    "verdict": s.verdict,
-                    "reason": s.reason,
-                    "min_degree": s.min_degree,
-                    "max_degree": s.max_degree,
-                }
-                for s in self.trace.steps
-            ],
+            "order_pruning": [s._asdict() for s in self.trace.steps],
             "candidate_rows": [
                 {
                     "row": c.row.compact(),
@@ -274,7 +259,7 @@ class ClassificationReport(NamedTuple):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
+def _scan(p: int, q: int, row, graphs, found: set[Graph]) -> CaseResult:
     non_planar = not_3conn = 0
     winners = []
     for g in graphs:
@@ -287,17 +272,15 @@ def _scan(p: int, q: int, row, graphs, found: dict) -> CaseResult:
             not_3conn += 1
             continue
         winners.append(g)
-        found[canonical_form(c)] = c  # the complement is then a solution too
-    if winners:
-        # stored census classes: the census holds their certificates
-        certs = _certificates(p, q)
-        found.update((certs[g][0], g) for g in winners)
+        # a census class is stored as its canonical graph; the complement,
+        # a solution too, is named by its canonical graph in the same way
+        found.update((g, c.relabel(canonical_labeling(c))))
     return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 
 
-def _entry(cert: CanonicalForm, g: Graph) -> CatalogEntry:
+def _entry(g: Graph) -> CatalogEntry:
     for entry in order_census(g.q):
-        if entry.certificate == cert:
+        if entry.graph == g:
             return entry
     raise ClassificationError(f"solution {encode(g)} falls outside the catalog")
 
@@ -312,7 +295,7 @@ def solve_question(prune: bool = True) -> ClassificationReport:
     """
     trace = prune_order()
     rows = candidate_degree_rows()
-    found: dict = {}
+    found: set[Graph] = set()
     cases = []
     if prune:
         for cand in rows:
@@ -323,9 +306,7 @@ def solve_question(prune: bool = True) -> ClassificationReport:
     else:
         for q in range(12, 17):
             cases.append(_scan(8, q, None, enumerate_polyhedra(8, q), found))
-    solutions = tuple(
-        sorted((_entry(*item) for item in found.items()), key=lambda e: e.label)
-    )
+    solutions = tuple(sorted(map(_entry, found), key=lambda e: e.label))
     return ClassificationReport(prune, trace, rows, tuple(cases), solutions)
 
 
@@ -362,37 +343,22 @@ def validate_report(report: ClassificationReport) -> None:
 # ---------------------------------------------------------------------------
 # the parameter coincidence at (8, 14)
 
-def equal_order_size_system(total_edges=None) -> tuple[tuple[int, int], ...]:
+def equal_order_size_system() -> tuple[tuple[int, int], ...]:
     """Feasible (p, q) where the dual keeps the order (q = 2p - 2) and
-    the complement keeps the size (2q = total_edges(p)).
-
-    total_edges is injectable so a deliberately wrong pair-count can
-    confirm the solver rejects it; the default is p(p - 1) / 2.  The
-    feasibility window is fixed regardless: q and the true complement
-    size p(p - 1)/2 - q must both fit a polyhedron, i.e. lie in
+    the complement keeps the size (4q = p(p - 1), so the complement
+    also has q edges).  Feasible means q fits a polyhedron: it lies in
     [6, 3p - 6].
     """
-    if total_edges is None:
-        total_edges = lambda p: p * (p - 1) // 2
     out = []
     for p in range(4, 65):
         q = 2 * p - 2
-        if 2 * q != total_edges(p):
-            continue
-        qbar = p * (p - 1) // 2 - q
-        if min(q, qbar) < 6 or max(q, qbar) > 3 * p - 6:
-            continue
-        out.append((p, q))
+        if 4 * q == p * (p - 1) and 6 <= q <= 3 * p - 6:
+            out.append((p, q))
     return tuple(out)
 
 
 def verify_remark_8_14() -> bool:
     """A polyhedron of the same order and size as both its dual and its
     complement must be an (8, 14) graph: the system q = 2p - 2,
-    2q = p(p - 1) / 2 has (8, 14) as its only feasible solution.  The
-    doubled pair-count variant (its one integer root leaves the
-    complement with no edges at all) must yield nothing."""
-    return (
-        equal_order_size_system() == ((8, 14),)
-        and equal_order_size_system(lambda p: p * (p - 1)) == ()
-    )
+    4q = p(p - 1) has (8, 14) as its only feasible solution."""
+    return equal_order_size_system() == ((8, 14),)

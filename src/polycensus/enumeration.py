@@ -383,7 +383,6 @@ def _embedded_triangulations(p: int) -> _Classes:
     return _classes(found)
 
 
-@cache
 def triangulations(p: int) -> tuple[Graph, ...]:
     """All maximal planar graphs on p vertices, canonical, sorted."""
     return tuple(t for t, _, _ in _embedded_triangulations(p))

@@ -263,7 +263,7 @@ def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     found = {}
     for row in _degree_rows(p, q):
         for g in _labeled_graphs_with_degrees(row):
-            if is_3_connected(g) and is_planar(g):
+            if is_planar(g) and is_3_connected(g):
                 cf = canonical_form(g)
                 if cf not in found:
                     found[cf] = canonical_graph(g)

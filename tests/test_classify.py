@@ -6,6 +6,7 @@ import polycensus as pc
 from polycensus import (
     ClassificationError,
     candidate_degree_rows,
+    enumeration,
     equal_order_size_system,
     prune_order,
     solve_question,
@@ -13,6 +14,7 @@ from polycensus import (
     verify_planar_complement_bound,
     verify_remark_8_14,
 )
+from polycensus.classify import _entry
 from tests.oracles import (
     brute_3_connected,
     kuratowski_oracle,
@@ -127,6 +129,33 @@ def test_solutions_properties():
     assert not pc.are_isomorphic(a, c)
 
 
+def test_a_graph_off_its_canonical_labelling_falls_outside_the_catalog():
+    g = solve_question().solutions[0].graph
+    assert _entry(g).graph == g
+    moved = g.relabel(range(g.p - 1, -1, -1))
+    assert moved != g and pc.are_isomorphic(moved, g)
+    with pytest.raises(ClassificationError, match="falls outside the catalog"):
+        _entry(moved)
+
+
+def test_order_8_scans_read_only_the_dual_pairs_they_need(monkeypatch):
+    # the cells (8, 15) and (8, 16) lie on the direct side of the
+    # self-dual line; their dual pairs would cost 74 + 76 dual searches
+    # that no scan reads
+    cells = []
+    dual_pairs = enumeration._dual_pairs
+
+    def recording(r, q):
+        cells.append((r, q))
+        return dual_pairs(r, q)
+
+    monkeypatch.setattr(enumeration, "_dual_pairs", recording)
+    solve_question()
+    solve_question(prune=False)
+    assert (6, 12) in cells  # the (8, 12) classes are read off their duals
+    assert not {(8, 15), (8, 16)} & set(cells)
+
+
 def test_validate_report_rejects_tampering():
     report = solve_question()
     broken = report._replace(solutions=report.solutions[:2])
@@ -160,9 +189,6 @@ def test_report_json():
 
 def test_equal_order_size_system():
     assert equal_order_size_system() == ((8, 14),)
-    # doubling the pair count: its integer root would need an edgeless
-    # complement, which the feasibility window refuses
-    assert equal_order_size_system(lambda p: p * (p - 1)) == ()
     assert verify_remark_8_14()
 
 

@@ -274,7 +274,7 @@ def test_acceptance_skips_most_canonical_forms(monkeypatch):
     # 1,355 deletions from the order-8 classes down to the self-dual line
     # are 3-connected; without the acceptance rule, its tie key and one
     # deletion per edge orbit, each of them would be searched
-    enumeration.triangulations(8)  # cached; its labels are not counted
+    enumeration.triangulations(8)  # fills the cache; its labels are not counted
     monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     calls = _count(monkeypatch, enumeration, "_labelled_search")
     # the undecorated function runs a fresh census and leaves the caches be

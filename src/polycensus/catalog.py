@@ -16,11 +16,12 @@ and their entries built then, each carrying its partner's label as its
 dual label (a self-dual graph carries its own).
 
 Certificates and duals come from the census, not from a search or
-``dual`` here: the census stores every class in its canonical
-labelling, so a class's certificate is its own bits, and keeps the
-dual of every class of a cell, read off the faces it carries with the
-class.  Both its dual-side cells and this module read that one cached
-pairing, so no catalog class is searched, embedded or tested again.
+``dual`` here: the census keeps every class with the certificate it
+was filed under, and the dual of every class of a cell, read off the
+faces it carries with the class.  Every pair of size q has a member in
+a cell (p, q) with p <= q - p + 2, the one of smaller order or both, so
+those cells are read once each, with their duals, and no catalog class
+is searched, embedded or tested again.
 
 The three graphs whose complements are again polyhedral also carry the
 names they go by in the published census of that classification, set
@@ -37,7 +38,7 @@ from functools import cache
 from typing import Iterable, NamedTuple
 
 from .duality import is_polyhedral
-from .enumeration import _certificates, order_bounds
+from .enumeration import _dual_pairs, enumerate_polyhedra, order_bounds
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
 from .isomorphism import CanonicalForm, canonical_form
@@ -72,14 +73,11 @@ class CatalogEntry(NamedTuple):
         return self.graph.degree_sequence()
 
 
-_Certs = dict[Graph, tuple[CanonicalForm, CanonicalForm]]
-
-
-def _member_key(g: Graph, partner: Graph, certs: _Certs) -> tuple:
+def _member_key(g: Graph, partner: Graph, cert: bytes) -> tuple:
     return (
         tuple(-d for d in g.degree_sequence()),
         tuple(-d for d in partner.degree_sequence()),
-        certs[g][0].certificate,
+        cert,
     )
 
 
@@ -87,43 +85,38 @@ def _member_key(g: Graph, partner: Graph, certs: _Certs) -> tuple:
 def order_census(q: int) -> tuple[CatalogEntry, ...]:
     """Label every polyhedral graph with q edges.
 
-    Reads the certificates of each cell (p, q) of the order window from
-    the census, so an order p whose dual order q - p + 2 also exceeds
-    MAX_ENUM_ORDER raises the ValueError of ``enumerate_polyhedra``.
+    Reads the pairs of each cell (p, q) of the order window with
+    p <= q - p + 2 from the census, so an order p whose dual order
+    q - p + 2 also exceeds MAX_ENUM_ORDER raises the ValueError of
+    ``enumerate_polyhedra``.
     """
-    certs: _Certs = {}  # class -> (certificate, dual's certificate)
-    lo, hi = order_bounds(q)
-    for p in range(lo, hi + 1):
-        certs.update(_certificates(p, q))
-    by_cert = {cert: g for g, (cert, _) in certs.items()}
-
     units = []
-    for g, (cert, cd) in certs.items():
-        if cd == cert:
-            units.append((g.p, 0, _member_key(g, g, certs), (g,)))
-            continue
-        if cert > cd:
-            continue  # each pair is visited once, from its smaller certificate
-        b = by_cert[cd]
-        if g.p != b.p:
-            a, b = (g, b) if g.p < b.p else (b, g)
-            key = _member_key(a, b, certs)
-        else:
-            key, b_key = _member_key(g, b, certs), _member_key(b, g, certs)
-            a, b, key = (g, b, key) if key <= b_key else (b, g, b_key)
-        units.append((a.p, 1, key, (a, b)))
+    lo, hi = order_bounds(q)
+    for p in range(lo, min(hi, (q + 2) // 2) + 1):
+        enumerate_polyhedra(p, q)  # raises where the census stops
+        for g, cert, cd, d in _dual_pairs(p, q):
+            a, b = (g, cert), (d, cd)
+            if cd == cert:
+                units.append((p, 0, _member_key(g, g, cert), (a,)))
+            elif d.p > p:  # keyed by its smaller-order member
+                units.append((p, 1, _member_key(g, d, cert), (a, b)))
+            elif cert < cd:  # both members are in this cell: take the pair once
+                key, d_key = _member_key(g, d, cert), _member_key(d, g, cd)
+                if d_key < key:
+                    a, b, key = b, a, d_key
+                units.append((p, 1, key, (a, b)))
     units.sort(key=lambda u: u[:3])
 
     entries: list[CatalogEntry] = []
     nn: dict[int, int] = {}
     for *_, members in units:
         labels = []
-        for g in members:
+        for g, _ in members:
             nn[g.p] = nn.get(g.p, 0) + 1
             labels.append(f"{q:02d}{g.p:02d}.{nn[g.p]:02d}")
         # a self-dual member is its own partner
-        for g, label, dual_label in zip(members, labels, labels[::-1]):
-            cert = certs[g][0]
+        for (g, c), label, dual_label in zip(members, labels, labels[::-1]):
+            cert = CanonicalForm(c)
             # degree d is p - 1 - d in the complement, which needs 3 or more
             complement_polyhedral = (
                 max(map(int.bit_count, g.adj)) <= g.p - 4

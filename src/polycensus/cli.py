@@ -40,10 +40,6 @@ from .isomorphism import is_self_complementary
 from .connectivity import is_3_connected
 
 
-class CliInputError(ValueError):
-    pass
-
-
 def _resolve_out(path_str: str) -> Path:
     path = Path(path_str)
     base = os.environ.get("POLYCENSUS_OUTDIR")
@@ -58,7 +54,7 @@ def _writing(out: Path):
     try:
         yield
     except OSError as exc:
-        raise CliInputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -75,7 +71,7 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
         line.strip() for line in sys.stdin.read().splitlines() if line.strip()
     ]
     if not lines:
-        raise CliInputError("no graphs given (arguments or stdin)")
+        raise ValueError("no graphs given (arguments or stdin)")
     return [(line, decode(line)) for line in lines]
 
 
@@ -84,7 +80,7 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
 
 def cmd_enumerate(args) -> int:
     if args.q < 6:
-        raise CliInputError("no polyhedral graph has fewer than 6 edges")
+        raise ValueError("no polyhedral graph has fewer than 6 edges")
     census = enumerate_by_size(args.q)
     out = _resolve_out(args.out) if args.out else None
 
@@ -147,7 +143,7 @@ def cmd_dual(args) -> int:
         try:
             d = dual(g)
         except NotPolyhedralError:
-            raise CliInputError(f"dual needs a polyhedral graph, got {line}") from None
+            raise ValueError(f"dual needs a polyhedral graph, got {line}") from None
         sys.stdout.write(encode(d) + "\n")
     return 0
 

@@ -19,8 +19,8 @@ Production route, per order p:
   Each dual is read off the faces carried with its class (below): one
   vertex per face, one edge across each edge.  These are the faces of
   every embedding, so no class is tested or embedded again.  The
-  catalog reads its duals, and every certificate, from the same cached
-  pairing (``_certificates``).
+  catalog reads every pair, each class and its dual with their
+  certificates, from the same cached pairing (``_dual_pairs``).
 
 Each class carries its faces, each the bitmask of its vertices, and
 nothing is ever embedded or walked.  A polyhedral graph has one
@@ -117,9 +117,9 @@ of g other than F1 and F2.  As F1 and F2 share only a and b, the test
 is one bitmask of faces per vertex, ORed over each side.
 
 For both rules, classes are keyed by certificate and stored as their
-canonical graphs, so the output does not depend on which child reached
-a class first.  The automorphisms a class carries do, but they decide
-only which repeats are skipped.
+canonical graphs with that certificate, so the output does not depend
+on which child reached a class first.  The automorphisms a class
+carries do, but they decide only which repeats are skipped.
 
 On every CPU.  A deletion level is cut into contiguous chunks of its
 parents, and the duals of a cell into contiguous chunks of its classes,
@@ -163,13 +163,14 @@ from typing import TypeVar
 
 from .duality import _face_graph, _faces_through
 from .graphs import DegreeSequence, Graph, bits, complete
-from .isomorphism import CanonicalForm, _certificate, _labelled_search
+from .isomorphism import _certificate, _labelled_search
 
 MAX_ENUM_ORDER = 9
 
 _Faces = tuple[int, ...]  # one vertex bitmask per face
 _Gens = tuple[tuple[int, ...], ...]  # automorphisms (v -> image)
-_Class = tuple[Graph, _Faces, _Gens]  # a class, its faces, some automorphisms
+# a class, its certificate, its faces, some automorphisms
+_Class = tuple[Graph, bytes, _Faces, _Gens]
 _Classes = tuple[_Class, ...]
 _Entry = tuple[tuple[int, ...], _Faces, _Gens]  # a class as canonical rows
 _R = TypeVar("_R")
@@ -231,7 +232,7 @@ def _keep(found: dict[bytes, _Entry], h: Graph, faces: _Faces) -> None:
 def _classes(found: dict[bytes, _Entry]) -> _Classes:
     """The classes filed in ``found``, sorted by certificate."""
     return tuple(
-        (Graph._derived(len(rows), rows), faces, gens)
+        (Graph._derived(len(rows), rows), c, faces, gens)
         for c, (rows, faces, gens) in sorted(found.items())
     )
 
@@ -368,16 +369,18 @@ def _accepted_splits(faces: _Faces, gens: _Gens = ()):
 
 @cache
 def _embedded_triangulations(p: int) -> _Classes:
-    """(class, its faces) for every maximal planar graph on p vertices,
-    canonical and sorted."""
+    """(class, its certificate, faces, ...) for every maximal planar graph
+    on p vertices, canonical and sorted."""
     if not 4 <= p <= MAX_ENUM_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ENUM_ORDER}")
     if p == 4:
         # K4 is its own canonical graph; its faces are its four triangles,
         # and it carries no automorphisms, which skips no repeat
-        return ((complete(4), tuple(15 ^ 1 << v for v in range(4)), ()),)
+        k4 = complete(4)
+        cert = _certificate(k4, tuple(range(4))).certificate
+        return ((k4, cert, tuple(15 ^ 1 << v for v in range(4)), ()),)
     found: dict[bytes, _Entry] = {}
-    for _, faces, gens in _embedded_triangulations(p - 1):
+    for _, _, faces, gens in _embedded_triangulations(p - 1):
         for split, adj in _accepted_splits(faces, gens):
             _keep(found, Graph._derived(p, tuple(adj)), split)
     return _classes(found)
@@ -385,7 +388,7 @@ def _embedded_triangulations(p: int) -> _Classes:
 
 def triangulations(p: int) -> tuple[Graph, ...]:
     """All maximal planar graphs on p vertices, canonical, sorted."""
-    return tuple(t for t, _, _ in _embedded_triangulations(p))
+    return tuple(t for t, _, _, _ in _embedded_triangulations(p))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +514,7 @@ def _children(parents: _Classes) -> dict[bytes, _Entry]:
     """The classes one edge below ``parents``, filed by ``_keep`` in the
     order the parents reach them."""
     found: dict[bytes, _Entry] = {}
-    for g, faces, gens in parents:
+    for g, _, faces, gens in parents:
         # the deletions of edges in one orbit of automorphisms give one
         # class, and the rule accepts all of them or none
         seen: set[int] = set()
@@ -524,8 +527,8 @@ def _children(parents: _Classes) -> dict[bytes, _Entry]:
 
 
 def _deletion_level(parents: _Classes) -> _Classes:
-    """(class, its faces) for every polyhedral graph one edge below the
-    cell whose classes are ``parents``, canonical and sorted."""
+    """(class, its certificate, faces, ...) for every polyhedral graph one
+    edge below the cell whose classes are ``parents``, canonical and sorted."""
     found: dict[bytes, _Entry] = {}
     # first wins within each chunk and across the chunks in order, as
     # over the parents in one pass
@@ -537,9 +540,9 @@ def _deletion_level(parents: _Classes) -> _Classes:
 
 @cache
 def _embedded_census(p: int) -> dict[int, _Classes]:
-    """q -> (class, its faces), for every feasible size at order p from
-    3p - 6 down to the self-dual line q = 2p - 2; the sizes below are
-    served by the dual side."""
+    """q -> (class, its certificate, faces, ...), for every feasible size
+    at order p from 3p - 6 down to the self-dual line q = 2p - 2; the
+    sizes below are served by the dual side."""
     out = {3 * p - 6: _embedded_triangulations(p)}
     for q in range(3 * p - 7, 2 * p - 3, -1):
         out[q] = _deletion_level(out[q + 1])
@@ -558,7 +561,7 @@ def _duals(classes: _Classes) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
     """(certificate, canonical rows) of the dual of each of ``classes``,
     read off the carried faces."""
     out = []
-    for h, faces, gens in classes:
+    for h, _, faces, gens in classes:
         d = _face_graph(h, faces)
         cf, label, _ = _labelled_search(d, _dual_seeds(faces, gens))
         out.append((cf.certificate, d.relabel(label).adj))
@@ -566,14 +569,15 @@ def _duals(classes: _Classes) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
 
 
 @cache
-def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, CanonicalForm, Graph], ...]:
-    """(class, its dual's certificate, its dual's canonical graph) for
-    every class of the cell (r, q) of the direct descent."""
+def _dual_pairs(r: int, q: int) -> tuple[tuple[Graph, bytes, bytes, Graph], ...]:
+    """(class, its certificate, its dual's certificate, its dual's
+    canonical graph) for every class of the cell (r, q) of the direct
+    descent, r <= q - r + 2, in class order."""
     classes = _embedded_census(r)[q]
     duals = [d for chunk in _chunked(_duals, classes) for d in chunk]
     return tuple(
-        (h, CanonicalForm(c), Graph._derived(len(rows), rows))
-        for (h, _, _), (c, rows) in zip(classes, duals)
+        (h, c, dc, Graph._derived(len(rows), rows))
+        for (h, c, _, _), (dc, rows) in zip(classes, duals)
     )
 
 
@@ -591,30 +595,8 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
             f"feasible, but p={p} and q-p+2={r} both exceed {MAX_ENUM_ORDER}"
         )
     if r < p:
-        return tuple(d for _, _, d in sorted(_dual_pairs(r, q), key=itemgetter(1)))
-    return tuple(g for g, _, _ in _embedded_census(p)[q])
-
-
-def _certificates(p: int, q: int) -> dict[Graph, tuple[CanonicalForm, CanonicalForm]]:
-    """class -> (its certificate, its dual's certificate), for every class
-    of the cell (p, q); raises ValueError where ``enumerate_polyhedra``
-    does.
-
-    Every class, on either side of the self-dual line, is stored in its
-    canonical labelling, under which its packed adjacency bits are the
-    least; its own certificate is read off those bits with no search.
-    The dual's certificate is the one ``_dual_pairs`` searched for."""
-    if not enumerate_polyhedra(p, q):
-        return {}
-
-    def own(h: Graph) -> CanonicalForm:
-        return _certificate(h, tuple(range(h.p)))
-
-    r = q - p + 2
-    if r < p:
-        # duality is an involution: the classes here are the duals
-        return {d: (c, own(h)) for h, c, d in _dual_pairs(r, q)}
-    return {h: (own(h), c) for h, c, _ in _dual_pairs(p, q)}
+        return tuple(d for *_, d in sorted(_dual_pairs(r, q), key=itemgetter(2)))
+    return tuple(g for g, _, _, _ in _embedded_census(p)[q])
 
 
 def enumerate_by_size(q: int) -> dict[int, tuple[Graph, ...]]:
@@ -631,5 +613,5 @@ def enumerate_by_size(q: int) -> dict[int, tuple[Graph, ...]]:
 def filter_by_degree_sequence(
     graphs: tuple[Graph, ...], row: DegreeSequence | tuple[int, ...]
 ) -> tuple[Graph, ...]:
-    want = row if isinstance(row, DegreeSequence) else DegreeSequence(tuple(row))
+    want = DegreeSequence(row)
     return tuple(g for g in graphs if g.degree_sequence() == want)

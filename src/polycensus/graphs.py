@@ -36,7 +36,8 @@ class DegreeSequence:
     __slots__ = ("degrees",)
     degrees: tuple[int, ...]
 
-    def __init__(self, degrees: tuple[int, ...]) -> None:
+    def __init__(self, degrees: Iterable[int]) -> None:
+        degrees = tuple(degrees)
         if not degrees:
             raise ValueError("degree sequence must be non-empty")
         p = len(degrees)
@@ -112,9 +113,9 @@ class Graph:
     p: int
     adj: tuple[int, ...]
 
-    def __init__(self, p: int, adj: tuple[int, ...]) -> None:
+    def __init__(self, p: int, adj: Iterable[int]) -> None:
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))
         self.__post_init__()
 
     def __post_init__(self) -> None:

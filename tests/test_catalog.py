@@ -170,6 +170,28 @@ def test_catalog_duals_come_from_the_census(monkeypatch):
     assert [e.dual_label for e in fresh] == [e.dual_label for e in build_catalog()]
 
 
+def test_order_census_reads_each_pair_once(monkeypatch):
+    # every pair of a size has a member whose order is at most its dual's,
+    # so the labelling reads the cells with 2p <= q + 2, each once; the
+    # dual-side cells would read them again
+    cells = []
+    dual_pairs = enumeration._dual_pairs
+
+    def recording(r, q):
+        cells.append((r, q))
+        return dual_pairs(r, q)
+
+    monkeypatch.setattr(enumeration, "_dual_pairs", recording)
+    monkeypatch.setattr(catalog_module, "_dual_pairs", recording)
+    for q in range(6, 18):
+        entries = order_census(q)
+        cells.clear()
+        # uncached, or the cached entries would be read back and nothing would run
+        assert order_census.__wrapped__(q) == entries
+        lo, hi = pc.order_bounds(q)
+        assert cells == [(p, q) for p in range(lo, hi + 1) if 2 * p <= q + 2], q
+
+
 @pytest.mark.parametrize("q", [15, 16, 17])
 def test_census_certificates_beyond_the_catalog(q):
     # the certificates read off the census, on both sides of the self-dual

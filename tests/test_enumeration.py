@@ -43,7 +43,7 @@ from polycensus.enumeration import (
     _split,
 )
 from polycensus.graphs import bits
-from polycensus.isomorphism import _search, canonical_labeling
+from polycensus.isomorphism import _labelled_search, _search, canonical_labeling
 from tests.oracles import canonical_graph, exhaustive_polyhedra
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
@@ -162,8 +162,8 @@ def test_carried_faces_are_the_embedded_faces():
     # classes missing from the census
     for p in range(4, 10):
         for q, classes in _embedded_census(p).items():
-            assert tuple(g for g, _, _ in classes) == enumerate_polyhedra(p, q)
-            for g, faces, _ in classes:
+            assert tuple(g for g, _, _, _ in classes) == enumerate_polyhedra(p, q)
+            for g, _, faces, _ in classes:
                 assert sorted(faces) == _masks(pc.embed(g)), pc.encode(g)
 
 
@@ -174,7 +174,7 @@ def test_split_faces_are_triangulations():
     # the census
     splits = 0
     for p in range(4, 9):
-        for _, faces, _ in _embedded_triangulations(p):
+        for _, _, faces, _ in _embedded_triangulations(p):
             for v in range(p):
                 ring = _ring(faces, v)
                 for i, j in combinations(range(len(ring)), 2):
@@ -201,7 +201,7 @@ def test_split_acceptance_ignores_labels():
     # faces, the triangles on the new edge vp
     rng = random.Random(9)
     for p in range(5, 9):
-        for t, faces, _ in _embedded_triangulations(p):
+        for t, _, faces, _ in _embedded_triangulations(p):
             perm = list(range(p))
             rng.shuffle(perm)
             ext = perm + [p]
@@ -254,7 +254,7 @@ def test_acceptance_rule_ignores_labels():
     rng = random.Random(8)
     for p in range(5, 9):
         for classes in _full_census(p).values():
-            for g, faces, _ in classes:
+            for g, _, faces, _ in classes:
                 perm = list(range(p))
                 rng.shuffle(perm)
                 want = {
@@ -289,12 +289,28 @@ def test_carried_generators_are_automorphisms():
     generators = 0
     for p in range(4, 10):
         for classes in _embedded_census(p).values():
-            for g, faces, gens in classes:
+            for g, _, faces, gens in classes:
                 for gen in gens:
                     assert g.relabel(gen) == g, (pc.encode(g), gen)
                     assert sorted(_relabelled(faces, gen)) == sorted(faces)
                     generators += 1
     assert generators == 708  # not vacuous
+
+
+def test_census_classes_carry_their_certificates():
+    # each class keeps the certificate it was filed under, K4 included,
+    # which is never searched, and each dual pair its dual's; both must be
+    # the ones a fresh search gives
+    classes = 0
+    for p in range(4, 10):
+        for q, cell in _embedded_census(p).items():
+            pairs = _dual_pairs(p, q)
+            assert [(g, c) for g, c, _, _ in cell] == [(h, c) for h, c, _, _ in pairs]
+            for h, c, dc, d in pairs:
+                assert c == _labelled_search(h)[0].certificate, pc.encode(h)
+                assert dc == _labelled_search(d)[0].certificate, pc.encode(h)
+                classes += 1
+    assert classes == 2809  # every direct-side class through order 9
 
 
 def test_dual_seeds_are_automorphisms_and_keep_the_labelling():
@@ -304,7 +320,7 @@ def test_dual_seeds_are_automorphisms_and_keep_the_labelling():
     seeded = 0
     for p in range(4, 10):
         for classes in _embedded_census(p).values():
-            for h, faces, gens in classes:
+            for h, _, faces, gens in classes:
                 d = _face_graph(h, faces)
                 seeds = _dual_seeds(faces, gens)
                 for seed in seeds:
@@ -335,7 +351,7 @@ def test_dual_route_matches_direct_descent():
     for p in range(4, 10):
         for q, direct in _full_census(p).items():
             if q - p + 2 < p:
-                assert enumerate_polyhedra(p, q) == tuple(g for g, _, _ in direct), (p, q)
+                assert enumerate_polyhedra(p, q) == tuple(g for g, _, _, _ in direct), (p, q)
                 cells += 1
     assert cells == 6
 
@@ -348,7 +364,7 @@ def test_deletion_face_criterion_through_order_8():
     deletions = 0
     for p in range(4, 9):
         for classes in _full_census(p).values():
-            for g, faces, _ in classes:
+            for g, _, faces, _ in classes:
                 on = _faces_through(faces, p)
                 for a, b in g.edges():
                     # exactly two faces, of the at most 12 here
@@ -366,7 +382,7 @@ def test_carried_faces_give_the_dual():
     # `dual` computes from a fresh embedding
     for p in range(4, 9):
         for classes in _embedded_census(p).values():
-            for h, faces, _ in classes:
+            for h, _, faces, _ in classes:
                 d = _face_graph(h, faces)
                 assert pc.canonical_form(d) == pc.canonical_form(pc.dual(h))
 
@@ -484,6 +500,42 @@ print(enumeration._CPUS, digest.hexdigest())
         timeout=120,
     ).stdout
     assert out.split() == ["1", CENSUS_DIGEST]
+
+
+def test_census_search_count():
+    # the bench census region on one CPU, in a fresh interpreter: one
+    # search per accepted child and per dual; labelling the sizes 6..17
+    # after it searches only the duals of the self-dual-line cells (350)
+    # and the three polyhedral complements
+    script = """
+import polycensus as pc
+from polycensus import catalog, enumeration, isomorphism
+
+enumeration._CPUS = 1  # a child's searches go uncounted
+search, searches = isomorphism._search, []
+isomorphism._search = lambda p, *rest: searches.append(p) or search(p, *rest)
+classes = 0
+for q in range(6, 22):
+    for p in range((q + 8) // 3, 2 * q // 3 + 1):
+        if min(p, q - p + 2) <= 9:
+            classes += len(pc.enumerate_polyhedra(p, q))
+census = len(searches)
+for q in range(6, 18):
+    catalog.order_census(q)
+print(classes, census, len(searches) - census)
+"""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.split() == ["5268", "5591", "353"]
 
 
 def test_a_failing_chunk_fails_the_call(monkeypatch, tmp_path):

@@ -111,6 +111,23 @@ def test_value_semantics():
         del g.p
 
 
+def test_list_input_is_stored_as_a_tuple():
+    # a list argument must give the same hashable value as a tuple
+    rows = [14, 13, 11, 7]
+    for value, same in (
+        (Graph(4, rows), pc.complete(4)),
+        (DegreeSequence([3, 3, 3, 3]), DegreeSequence((3, 3, 3, 3))),
+    ):
+        assert value == same and hash(value) == hash(same)
+    assert Graph(4, rows).adj == (14, 13, 11, 7)
+    assert pc.canonical_form(Graph(4, rows)) == pc.canonical_form(pc.complete(4))
+    # and every check still runs on the list
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        DegreeSequence([1, 2, 1])
+    with pytest.raises(ValueError, match="expected 4 adjacency rows"):
+        Graph(4, [14, 13, 11])
+
+
 def test_add_remove_edge():
     g = empty_graph(3)
     h = g.add_edge(0, 2)

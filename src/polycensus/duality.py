@@ -148,6 +148,6 @@ def is_self_dual(g: Graph) -> bool:
 
 def _self_dual_by_faces(g: Graph, faces: Sequence[int]) -> bool:
     """Whether the polyhedral ``g`` with these faces is self-dual."""
-    # the dual has q - p + 2 vertices; when that differs from p it is not
-    # built, since it may exceed the supported order
-    return 2 * g.p == g.q + 2 and are_isomorphic(g, _face_graph(g, faces))
+    # the dual has a vertex per face; when their number differs from p it
+    # is not built, since it may exceed the supported order
+    return len(faces) == g.p and are_isomorphic(g, _face_graph(g, faces))

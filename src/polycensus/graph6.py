@@ -3,6 +3,12 @@
 The order is one byte (value + 63, for orders below 63).  The upper triangle
 of the adjacency matrix follows in column order -- (0,1), (0,2), (1,2),
 (0,3), ... -- packed big-endian into 6-bit groups, each group + 63.
+
+``decode`` reads each group through a 64-entry table of the offsets of
+its set bits, each offset a pair in column order, and writes both rows
+of that pair.  The rows it builds are symmetric, loop-free and inside
+0..n-1 by construction, with a set padding bit an error, so the graph
+skips the checks of the public constructor.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ class Graph6Error(ValueError):
 
 # the pairs i < j in column order, one bit each
 _PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
+
+# the set bits of each 6-bit group value, as offsets from its first bit,
+# which is the highest
+_GROUP = tuple(tuple(k for k in range(6) if m >> 5 - k & 1) for m in range(64))
 
 
 def encode(g: Graph) -> str:
@@ -65,19 +75,16 @@ def decode(text: str) -> Graph:
     if body and (min(body) < "?" or max(body) > "~"):
         k = 1 + next(k for k, ch in enumerate(body) if not "?" <= ch <= "~")
         raise Graph6Error(f"character {s[k]!r} outside graph6 range", at + k)
-    # the 6-bit groups as one integer, the first bit highest, so pair t
-    # is bit size - 1 - t
-    data = 0
-    for byte in body.encode():
-        data = data << 6 | byte - 63
-    size = 6 * len(body)
-    if data & ((1 << size - nbits) - 1):
+    # the padding bits are the low bits of the last group
+    pad = 6 * len(body) - nbits
+    if body and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", at + expect - 1)
     rows = [0] * n
-    while data:
-        low = data & -data
-        data ^= low
-        i, j = _PAIRS[size - low.bit_length()]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    t = 0  # the pair of the group's first bit
+    for byte in body.encode():
+        for k in _GROUP[byte - 63]:
+            i, j = _PAIRS[t + k]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        t += 6
+    return Graph._derived(n, tuple(rows))

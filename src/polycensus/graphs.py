@@ -119,7 +119,8 @@ class Graph:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """The checks every public construction makes; ``_derived`` skips them."""
+        """The checks every public construction makes; ``_derived`` skips
+        them.  A method of its own so that a layer trace can wrap it."""
         p, adj = self.p, self.adj
         if not isinstance(p, int) or not 1 <= p <= MAX_VERTICES:
             raise ValueError(f"order must be 1..{MAX_VERTICES}, got {p!r}")
@@ -138,11 +139,14 @@ class Graph:
 
     @classmethod
     def _derived(cls, p: int, adj: tuple[int, ...]) -> Graph:
-        """A graph on rows the package built from a valid graph, unchecked.
+        """A graph on rows the package built itself, unchecked.
 
         Only for rows that cannot break the invariants ``__post_init__``
-        checks: an edge removed, a permutation applied, a vertex split, a
-        complement.
+        checks: those of a valid graph with an edge removed, a
+        permutation applied, a vertex split or complemented, and the rows
+        ``graph6.decode`` reads, which join each pair i < j < n it finds
+        both ways and nothing else, so they are symmetric, loop-free and
+        inside 0..n-1.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "p", p)

@@ -1,19 +1,22 @@
 """Planarity testing and combinatorial embeddings.
 
 One helper, ``_plane``, answers planarity and faces together: it runs
-the block search once and builds an explicit embedding of each block
-face by face (insert one fragment path at a time, always handling a
-fragment with the fewest admissible faces first), on bitmasks, each
-vertex holding the mask of the faces through it.  It returns the
-face walks when the graph is 2-connected.  ``is_planar`` and
-``embed`` read it, and so does ``duality._polyhedral``, which serves
+the block search once (a low-point search after Hopcroft and Tarjan
+that stacks vertices: a block closes as a vertex mask, and its rows
+are those of the graph within it) and builds an explicit embedding of
+each block face by face (insert one fragment path at a time, always
+handling a fragment with the fewest admissible faces first), on
+bitmasks, each vertex holding the mask of the faces through it.  It
+returns the face walks when the graph is 2-connected.  ``is_planar``
+and ``embed`` read it, and so does ``duality._polyhedral``, which serves
 ``dual``, ``is_polyhedral``, ``check`` and the complement scan: their
 input is embedded once, and the faces, read as vertex sets, give
 3-connectivity and the dual.  Only ``embed`` and ``dual`` read the
 order of the faces, so only they put the walks in ``_normal_form``.
 The tests check planarity against a direct search for a K5 or K3,3
-subdivision that knows nothing about embeddings, and the faces against
-the plain embedder this one replaced.
+subdivision that knows nothing about embeddings, the blocks against
+the definition of a block, and the faces against the plain embedder
+this one replaced.
 """
 
 from __future__ import annotations
@@ -30,10 +33,15 @@ class NonPlanarGraphError(ValueError):
 
 def _block_pieces(g: Graph) -> list[tuple[list[int], list[int]]]:
     """Blocks on three or more vertices as (vertices, rows), ``rows[v]``
-    the neighbours of v in the block; bridges are planar and left out."""
+    the neighbours of v in the block; bridges are planar and left out.
+
+    Vertices go on a stack as the search first meets them.  When a child
+    u of v cannot reach above v, v and the vertices from u up the stack
+    make a block, and no other block holds two of them, so its rows are
+    the rows of g within it."""
     p, adj = g.p, g.adj
     index = [-1] * p
-    stack: list[tuple[int, int]] = []
+    stack: list[int] = []
     pieces = []
     counter = 0
 
@@ -43,31 +51,27 @@ def _block_pieces(g: Graph) -> list[tuple[list[int], list[int]]]:
         nonlocal counter
         index[v] = least = counter
         counter += 1
+        stack.append(v)
         for u in bits(adj[v]):
             if u == parent:
                 continue
             if index[u] >= 0:
-                if index[u] < index[v]:
-                    stack.append((v, u))
-                    if index[u] < least:
-                        least = index[u]
+                if index[u] < least:
+                    least = index[u]
                 continue
-            stack.append((v, u))
+            at = len(stack)
             low_u = dfs(u, v)
             if low_u < least:
                 least = low_u
             if low_u >= index[v]:
-                rows = [0] * p
-                edges = 0
-                while True:
-                    a, b = stack.pop()
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
-                    edges += 1
-                    if (a, b) == (v, u):
-                        break
-                if edges > 1:
-                    pieces.append(([x for x in range(p) if rows[x]], rows))
+                if len(stack) - at > 1:
+                    mask = _BIT[v] + sum(map(_BIT.__getitem__, stack[at:]))
+                    rows = [0] * p
+                    vs = bits(mask)
+                    for x in vs:
+                        rows[x] = adj[x] & mask
+                    pieces.append((list(vs), rows))
+                del stack[at:]
         return least
 
     for s in range(p):
@@ -106,9 +110,16 @@ def _find_cycle(vs: list[int], adj: list[int]) -> list[int]:
     raise AssertionError("no cycle in a 2-connected block")
 
 
-def _components(adj: list[int], placed: int, left: int) -> list[tuple[int, int]]:
-    """The components of the unplaced vertices in ``left``, as
-    (attachments, vertices) masks, by least vertex."""
+# A fragment is (order, attachments, vertices).  A chord vw, v < w, has
+# order 16v + w, below 256, and no vertices; a component whose least
+# vertex is v has order 2 ** (v + 8).  So the chords come first, and the
+# fragments sort on their orders alone.
+_Fragment = tuple[int, tuple[int, ...], int]
+
+
+def _components(adj: list[int], placed: int, left: int) -> list[_Fragment]:
+    """The components of the unplaced vertices in ``left`` as fragments,
+    by least vertex."""
     out = []
     while left:
         comp = frontier = left & -left
@@ -121,23 +132,14 @@ def _components(adj: list[int], placed: int, left: int) -> list[tuple[int, int]]
             frontier = reach & left & ~comp
             comp |= frontier
         left &= ~comp
-        out.append((att, comp))
+        out.append(((comp & -comp) << 8, bits(att), comp))
     return out
 
 
-def _fragment_order(frag: tuple[int, int]) -> tuple[int, ...]:
-    """Chords (no interior) by (v, u), then components by least vertex."""
-    att, comp = frag
-    return (1, comp & -comp) if comp else (0, att & -att, att)
-
-
-def _fragment_path(att: int, comp: int, adj: list[int], placed: int) -> list[int]:
-    """A path between two attachments with its interior in ``comp``:
-    breadth first from the least attachment, neighbours in ascending
-    order, to the least other placed vertex first met."""
-    a = (att & -att).bit_length() - 1
-    if not comp:
-        return [a, att.bit_length() - 1]
+def _fragment_path(a: int, comp: int, adj: list[int], placed: int) -> list[int]:
+    """A path from the attachment ``a`` to another with its interior in
+    ``comp``: breadth first, neighbours in ascending order, to the least
+    other placed vertex first met."""
     stop = placed & ~(1 << a)
     parent = [a] * len(adj)
     seen = adj[a] & comp
@@ -178,7 +180,11 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
     in a list in scan order: a drawn chord leaves it, and a drawn
     component gives way to the components of its remaining vertices and
     the chords at the path's inner vertices.  No other fragment changes,
-    as no edge joins two components.
+    as no edge joins two components.  Each fragment carries its sort
+    key and its attachments, so the scan reads them and the list is
+    sorted on plain integers.  Only the cycle's vertices need their
+    drawn edges tracked: a vertex is placed with its path, and its edges
+    off the path are its chords then.
 
     The scan stops at the first fragment with at most one admissible
     face.  On a planar block no fragment has none, so this is the first
@@ -193,18 +199,18 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
     the loop reaches it and the verdict is the same.
     """
     cycle = _find_cycle(vs, adj)
-    rest = list(adj)  # the edges not yet drawn
     on = [0] * len(adj)
+    off = list(adj)  # at a cycle vertex, its edges off the cycle
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        rest[a] &= ~(1 << b)
-        rest[b] &= ~(1 << a)
+        off[a] ^= 1 << b
+        off[b] ^= 1 << a
         on[a] = 3  # faces 0 and 1, the two sides of the cycle
-    placed = sum(1 << v for v in cycle)
-    left = sum(1 << v for v in vs) & ~placed
+    placed = sum(map(_BIT.__getitem__, cycle))
+    left = sum(map(_BIT.__getitem__, vs)) & ~placed
     frags = [
-        (1 << v | 1 << u, 0)
+        (v << 4 | u, (v, u), 0)
         for v in bits(placed)
-        for u in bits(rest[v] & placed & -(2 << v))
+        for u in bits(off[v] & placed & -(2 << v))
     ] + _components(adj, placed, left)
     faces: list[tuple[int, ...]] = [tuple(cycle), tuple(reversed(cycle))]
     total = sum(map(int.bit_count, adj)) // 2
@@ -212,9 +218,9 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
 
     while done < total:
         best = best_adm = best_count = -1
-        for n, (att, comp) in enumerate(frags):
+        for n, (_, xs, _) in enumerate(frags):
             adm = -1
-            for x in bits(att):
+            for x in xs:
                 adm &= on[x]
             count = adm.bit_count()
             if best < 0 or count < best_count:
@@ -225,40 +231,45 @@ def _embed_block(vs: list[int], adj: list[int]) -> list[tuple[int, ...]]:
         if not best_count:
             raise NonPlanarGraphError("a fragment fits in no face")
 
-        att, comp = frags.pop(best)
-        path = _fragment_path(att, comp, adj, placed)
+        _, xs, comp = frags.pop(best)
+        path = _fragment_path(xs[0], comp, adj, placed) if comp else xs
+        a, b = path[0], path[-1]
         k = (best_adm & -best_adm).bit_length() - 1
         face = faces[k]
-        i, j = face.index(path[0]), face.index(path[-1])
+        i, j = face.index(a), face.index(b)
         if i < j:
             arc_ab, arc_ba = face[i : j + 1], face[j:] + face[: i + 1]
         else:
             arc_ab, arc_ba = face[i:] + face[: j + 1], face[j : i + 1]
+        new = 1 << len(faces)
+        split = 1 << k | new
+        for x in arc_ba[1:-1]:
+            on[x] ^= split
+        on[a] |= new
+        on[b] |= new
+        done += len(path) - 1
+        if not comp:
+            faces[k] = arc_ab
+            faces.append(arc_ba)
+            continue
         inner = tuple(path[1:-1])
-        old, new = 1 << k, 1 << len(faces)
         faces[k] = arc_ab + inner[::-1]
         faces.append(arc_ba + inner)
-        for x in arc_ba[1:-1]:
-            on[x] ^= old | new
+        # what is left of the component falls into components, and the
+        # edges from the path's inner vertices to placed ones, all but
+        # the path's own, become chords
+        mid = 0
         for x in inner:
-            on[x] = old | new
-        on[path[0]] |= new
-        on[path[-1]] |= new
-        for x, y in zip(path, path[1:]):
-            rest[x] &= ~(1 << y)
-            rest[y] &= ~(1 << x)
-        done += len(path) - 1
-        if comp:
-            # what is left of the component falls into components, and the
-            # undrawn edges from the path's inner vertices to placed ones
-            # become chords
-            mid = sum(map(_BIT.__getitem__, inner))
-            for x in inner:
-                for u in bits(rest[x] & (placed | mid & -(2 << x))):
-                    frags.append((1 << x | 1 << u, 0))
-            placed |= mid
-            frags += _components(adj, placed, comp & ~mid)
-            frags.sort(key=_fragment_order)
+            on[x] = split
+            mid |= 1 << x
+        for n, x in enumerate(inner, 1):
+            drawn = 1 << path[n - 1] | 1 << path[n + 1]
+            for u in bits(adj[x] & ~drawn & (placed | mid & -(2 << x))):
+                v, w = (u, x) if u < x else (x, u)
+                frags.append((v << 4 | w, (v, w), 0))
+        placed |= mid
+        frags += _components(adj, placed, comp & ~mid)
+        frags.sort()
 
     # each dart on one face glues the faces into a closed surface, and
     # Euler characteristic 2 makes it the sphere

@@ -187,6 +187,27 @@ def shuffled(g: Graph, rng: random.Random) -> Graph:
     return g.relabel(tuple(perm))
 
 
+def glued_graph(p: int, rng: random.Random) -> Graph:
+    """A random graph on p vertices built part by part, shuffled: each
+    new part, a random graph on up to 6 vertices, shares one vertex with
+    the graph so far, a cut vertex, or is joined to it by one edge, a
+    bridge."""
+    n = rng.randint(1, min(6, p))
+    edges = list(random_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng).edges())
+    while n < p:
+        m = rng.randint(1, min(5, p - n))
+        new = list(range(n, n + m))
+        if rng.random() < 0.5:
+            new.insert(0, rng.randrange(n))
+        else:
+            edges.append((rng.randrange(n), rng.choice(new)))
+        k = len(new)
+        part = random_graph(k, rng.randint(k - 1, k * (k - 1) // 2), rng)
+        edges += [(new[u], new[v]) for u, v in part.edges()]
+        n += m
+    return shuffled(Graph.from_edges(p, edges), rng)
+
+
 def sample_graphs(p: int, count: int, seed: int) -> list[Graph]:
     """Deterministic random graphs on p vertices, sizes spread from
     tree-sparse to complete."""
@@ -377,6 +398,53 @@ def kuratowski_oracle(g: Graph) -> bool:
                 return False
 
     return True
+
+
+# ---------------------------------------------------------------------------
+# blocks by definition
+
+def brute_blocks(g: Graph) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The blocks of ``g`` with two or more edges, each as (its vertices
+    in ascending order, the neighbour mask of every vertex of ``g`` within
+    it), straight from the definition: two edges lie in one block iff no
+    single vertex separates them, where an edge at the deleted vertex
+    counts with its other end.
+
+    Each edge gets the tuple of the components holding it in g and in
+    g - v for every vertex v; two edges share a block iff their tuples
+    are equal.
+    """
+    adj = neighbor_sets(g)
+
+    def components(gone: int) -> dict[int, int]:
+        label: dict[int, int] = {}
+        for s in range(g.p):
+            if s == gone or s in label:
+                continue
+            label[s] = s
+            todo = [s]
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w != gone and w not in label:
+                        label[w] = s
+                        todo.append(w)
+        return label
+
+    cuts = [(v, components(v)) for v in range(-1, g.p)]
+    blocks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for u, w in g.edges():
+        key = tuple(label[w if u == v else u] for v, label in cuts)
+        blocks.setdefault(key, []).append((u, w))
+    out = set()
+    for edges in blocks.values():
+        if len(edges) < 2:
+            continue
+        rows = [0] * g.p
+        for u, w in edges:
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+        out.add((tuple(v for v in range(g.p) if rows[v]), tuple(rows)))
+    return out
 
 
 # ---------------------------------------------------------------------------

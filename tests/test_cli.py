@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 import polycensus as pc
 from polycensus import cli, planarity
 from polycensus.cli import main
-from tests.oracles import wheel
+from tests.oracles import glued_graph, random_graph, shuffled, wheel
 
 
 def run(capsys, *argv):
@@ -433,6 +434,51 @@ def test_graph_commands_answer_as_through_argparse(capsys, monkeypatch, cmd, gra
     direct, parsed = answers
     assert direct == parsed
     assert direct[0] == code and (direct[2] == "") == (code == 0)
+
+
+def _graph_command_lines():
+    """Every census class through 14 edges, a relabelling of each and the
+    complements of both; 300 seeded random graphs on 1 to 16 vertices,
+    from sparse to complete, a third of them random parts glued at cut
+    vertices and joined by bridges; polyhedra with 20 and 28 faces; and
+    malformed lines."""
+    rng = random.Random(2514)
+    graphs = []
+    for q in range(6, 15):
+        for classes in pc.enumerate_by_size(q).values():
+            for g in classes:
+                h = shuffled(g, rng)
+                graphs += [g, h, g.complement(), h.complement()]
+    for k in range(300):
+        p = rng.randint(1, 16)
+        if k % 3 == 2:
+            graphs.append(glued_graph(p, rng))
+            continue
+        # uniform sizes, then sizes around 3p - 6, where non-planar blocks
+        # and planar ones are both common
+        hi = p * (p - 1) // 2
+        q = rng.randint(0, hi) if k % 3 == 0 else rng.randint(min(p - 1, hi), min(3 * p, hi))
+        graphs.append(random_graph(p, q, rng))
+    lines = [pc.encode(g) for g in graphs]
+    return lines + [
+        "K|fJ@cXBIK_^",  # the icosahedron
+        "OeoG@Oh@cOZrGG?_D}YUJ",  # a triangulation on 16 vertices
+        "", "C!", "C~~", "D~", "Bx", "Ao", "?", "R???", "C\x7f",
+        ">>graph6<<C~", "  Dhc", ">>graph6<<Bx",
+    ]
+
+
+# sha256 of the exit code, stdout and stderr of `check`, `complement` and
+# `dual` on each line above, one line per call
+GRAPH_COMMANDS_SHA256 = "a810c9f9a1ebf957ba4f11a5b51d0c13a8c156eec16e8dd0ea8ae5b0b7ae8ec6"
+
+
+def test_graph_command_bytes(capsys):
+    digest = hashlib.sha256()
+    for line in _graph_command_lines():
+        for cmd in ("check", "complement", "dual"):
+            digest.update(repr((cmd, line, *run(capsys, cmd, line))).encode() + b"\n")
+    assert digest.hexdigest() == GRAPH_COMMANDS_SHA256
 
 
 @pytest.mark.parametrize("command", ["enumerate", "classify", "complement", "dual", "check"])

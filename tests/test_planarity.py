@@ -6,7 +6,9 @@ import polycensus as pc
 from polycensus import NonPlanarGraphError, NotPolyhedralError, dual, embed, is_planar
 from polycensus import planarity
 from tests.oracles import (
+    brute_blocks,
     empty_graph,
+    glued_graph,
     icosahedron,
     kuratowski_oracle,
     path,
@@ -119,6 +121,21 @@ def test_embed_handles_cut_vertices_and_bridges():
             embed(g)
         with pytest.raises(NotPolyhedralError):
             dual(g)
+
+
+def test_block_pieces_match_the_block_oracle(universe):
+    # every block with two or more edges, each once, with its rows,
+    # compared as sets: no output reads the order of the pieces
+    rng = random.Random(2515)
+    corpus = list(universe)
+    for _ in range(300):
+        p = rng.randint(2, 16)
+        corpus.append(glued_graph(p, rng))
+        corpus.append(random_graph(p, rng.randint(p - 1, min(2 * p, p * (p - 1) // 2)), rng))
+    for g in corpus:
+        pieces = planarity._block_pieces(g)
+        found = {(tuple(vs), tuple(rows)) for vs, rows in pieces}
+        assert len(found) == len(pieces) and found == brute_blocks(g), pc.encode(g)
 
 
 def test_euler_formula_census(census):

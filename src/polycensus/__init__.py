@@ -51,7 +51,6 @@ from .isomorphism import (
     CanonicalForm,
     are_isomorphic,
     canonical_form,
-    canonical_labeling,
     is_self_complementary,
 )
 from .planarity import NonPlanarGraphError, embed, is_planar
@@ -99,7 +98,6 @@ __all__ = [
     "CanonicalForm",
     "are_isomorphic",
     "canonical_form",
-    "canonical_labeling",
     "is_self_complementary",
     "NonPlanarGraphError",
     "embed",

@@ -114,9 +114,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify(args) -> int:
     report = solve_question(prune=True)
+    validate_report(report)
     footer = ""
     if args.no_prune:
         unpruned = solve_question(prune=False)
+        validate_report(unpruned)
         if {e.certificate for e in report.solutions} != {
             e.certificate for e in unpruned.solutions
         }:
@@ -125,7 +127,6 @@ def cmd_classify(args) -> int:
             )
         report = unpruned
         footer = "\npruned and unpruned sweeps agree on the solution certificates"
-    validate_report(report)
     sys.stdout.write(report.to_text() + footer + "\n")
     if args.report:
         _emit(report.to_json(), _resolve_out(args.report))

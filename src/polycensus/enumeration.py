@@ -121,20 +121,20 @@ canonical graphs with that certificate, so the output does not depend
 on which child reached a class first.  The automorphisms a class
 carries do, but they decide only which repeats are skipped.
 
-On every CPU.  A deletion level is cut into contiguous chunks of its
-parents, and the duals of a cell into contiguous chunks of its classes,
-one chunk per CPU the process may run on; the caller runs the first and
-a forked child each other one (``_chunked``).  No parent's children
-depend on another parent's, since every accepted child is searched
-whether its class is filed or not.  So each chunk files its children
-first-wins in parent order, and merging the chunks in order, first-wins
-again, files every class from the same child, with the same faces and
-automorphisms, as one pass over all the parents would; the duals come
-back in class order.  The output is byte for byte that of the serial
-pass.  With one CPU, without fork, in a process with other threads, or
-with too few items for two chunks of ``_MIN_CHUNK``, the work runs
-in-process as one chunk, through the same code.  The triangulation
-levels, 145 searches through order 9, are not split.
+On every CPU.  A level, of splits or of deletions, is cut into
+contiguous chunks of its parents, and the duals of a cell into
+contiguous chunks of its classes, one chunk per CPU the process may
+run on; the caller runs the first and a forked child each other one
+(``_chunked``).  No parent's children depend on another parent's,
+since every accepted child is searched whether its class is filed or
+not.  So each chunk files its children first-wins in parent order, and
+merging the chunks in order, first-wins again, files every class from
+the same child, with the same faces and automorphisms, as one pass over
+all the parents would; the duals come back in class order.  The output
+is byte for byte that of the serial pass.  With one CPU, without fork,
+in a process with other threads, or with too few items for two chunks
+of ``_MIN_CHUNK``, the work runs in-process as one chunk, through the
+same code.
 
 The deletion check is cheap because deletion only lowers degrees: the
 faces of g are read once per parent, and its pairs C(g) are sorted by
@@ -156,7 +156,7 @@ import os
 import sys
 import threading
 from collections.abc import Callable
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from operator import itemgetter
 from typing import TypeVar
@@ -294,6 +294,28 @@ def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
     return results + [marshal.loads(b) for b in sent]
 
 
+def _children(step: Callable, parents: _Classes) -> dict[bytes, _Entry]:
+    """The classes one ``step`` below ``parents``, filed by ``_keep`` in the
+    order the parents reach them."""
+    found: dict[bytes, _Entry] = {}
+    for g, _, faces, gens in parents:
+        for h, child_faces in step(g, faces, gens):
+            _keep(found, h, child_faces)
+    return found
+
+
+def _level(step: Callable, parents: _Classes) -> _Classes:
+    """(class, its certificate, faces, ...) for every class one ``step``
+    below ``parents``, a split or a deletion, canonical and sorted."""
+    found: dict[bytes, _Entry] = {}
+    # first wins within each chunk and across the chunks in order, as
+    # over the parents in one pass
+    for chunk in _chunked(partial(_children, step), parents):
+        for c, entry in chunk.items():
+            found.setdefault(c, entry)
+    return _classes(found)
+
+
 # ---------------------------------------------------------------------------
 # maximal planar graphs by vertex splitting
 
@@ -346,11 +368,11 @@ def _best_contractible(adj: list[int], x: int, y: int) -> bool:
     return True
 
 
-def _accepted_splits(faces: _Faces, gens: _Gens = ()):
-    """(faces, adjacency rows) of the splits of the triangulation with
+def _accepted_splits(t: Graph, faces: _Faces, gens: _Gens):
+    """(split, its faces) for the splits of the triangulation t with
     ``faces`` whose new edge is a best contractible edge, at one vertex
     of each orbit of its automorphisms ``gens``."""
-    p = len(faces) // 2 + 2
+    p = t.p
     seen: set[int] = set()
     for v in range(p):
         if 1 << v in seen:
@@ -364,7 +386,7 @@ def _accepted_splits(faces: _Faces, gens: _Gens = ()):
                 for x in bits(f):
                     rows[x] |= f ^ 1 << x
             if _best_contractible(rows, v, p):
-                yield split, rows
+                yield Graph._derived(p + 1, tuple(rows)), split
 
 
 @cache
@@ -379,11 +401,7 @@ def _embedded_triangulations(p: int) -> _Classes:
         k4 = complete(4)
         cert = _certificate(k4, tuple(range(4))).certificate
         return ((k4, cert, tuple(15 ^ 1 << v for v in range(4)), ()),)
-    found: dict[bytes, _Entry] = {}
-    for _, _, faces, gens in _embedded_triangulations(p - 1):
-        for split, adj in _accepted_splits(faces, gens):
-            _keep(found, Graph._derived(p, tuple(adj)), split)
-    return _classes(found)
+    return _level(_accepted_splits, _embedded_triangulations(p - 1))
 
 
 def triangulations(p: int) -> tuple[Graph, ...]:
@@ -459,11 +477,12 @@ def _keeps_3_connected(on: list[int], left: int, right: int) -> bool:
     return not lo & hi
 
 
-def _accepted_deletions(g: Graph, faces: _Faces):
-    """(a, b, faces of g - ab) for the edges ab of g, a and b of degree
-    at least 4, such that g - ab is 3-connected and ab scores best among
+def _accepted_deletions(g: Graph, faces: _Faces, gens: _Gens):
+    """(g - ab, its faces) for the edges ab of g, a and b of degree at
+    least 4, such that g - ab is 3-connected and ab scores best among
     the pairs C(g - ab), with the greatest tie key among those that
-    score as well; ``faces`` are those of the polyhedral g."""
+    score as well, for one edge of each orbit of the automorphisms
+    ``gens``; ``faces`` are those of the polyhedral g."""
     adj = g.adj
     deg = [row.bit_count() for row in adj]
     on = _faces_through(faces, g.p)
@@ -478,6 +497,7 @@ def _accepted_deletions(g: Graph, faces: _Faces):
         ),
         reverse=True,
     )
+    seen: set[int] = set()
     for a, b in g.edges():
         if deg[a] < 4 or deg[b] < 4:
             continue
@@ -506,36 +526,13 @@ def _accepted_deletions(g: Graph, faces: _Faces):
         ties += [(x, y) for s, x, y in across if s == best]
         if ties and not _wins_ties(adj, deg, a, b, ties):
             continue
-        merged = faces[k] | faces[m]
-        yield a, b, faces[:k] + (merged,) + faces[k + 1 : m] + faces[m + 1 :]
-
-
-def _children(parents: _Classes) -> dict[bytes, _Entry]:
-    """The classes one edge below ``parents``, filed by ``_keep`` in the
-    order the parents reach them."""
-    found: dict[bytes, _Entry] = {}
-    for g, _, faces, gens in parents:
         # the deletions of edges in one orbit of automorphisms give one
         # class, and the rule accepts all of them or none
-        seen: set[int] = set()
-        for a, b, merged in _accepted_deletions(g, faces):
-            ab = 1 << a | 1 << b
-            if ab not in seen:
-                seen |= _orbit(ab, gens)
-                _keep(found, g.remove_edge(a, b), merged)
-    return found
-
-
-def _deletion_level(parents: _Classes) -> _Classes:
-    """(class, its certificate, faces, ...) for every polyhedral graph one
-    edge below the cell whose classes are ``parents``, canonical and sorted."""
-    found: dict[bytes, _Entry] = {}
-    # first wins within each chunk and across the chunks in order, as
-    # over the parents in one pass
-    for chunk in _chunked(_children, parents):
-        for c, entry in chunk.items():
-            found.setdefault(c, entry)
-    return _classes(found)
+        if ab in seen:
+            continue
+        seen |= _orbit(ab, gens)
+        merged = faces[:k] + (faces[k] | faces[m],) + faces[k + 1 : m] + faces[m + 1 :]
+        yield g.remove_edge(a, b), merged
 
 
 @cache
@@ -545,7 +542,7 @@ def _embedded_census(p: int) -> dict[int, _Classes]:
     sizes below are served by the dual side."""
     out = {3 * p - 6: _embedded_triangulations(p)}
     for q in range(3 * p - 7, 2 * p - 3, -1):
-        out[q] = _deletion_level(out[q + 1])
+        out[q] = _level(_accepted_deletions, out[q + 1])
     return out
 
 

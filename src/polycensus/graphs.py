@@ -193,9 +193,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return bits(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -205,16 +202,6 @@ class Graph:
             high = self.adj[u] >> (u + 1) << (u + 1)
             for v in bits(high):
                 yield (u, v)
-
-    def add_edge(self, u: int, v: int) -> Graph:
-        if u == v or not (0 <= u < self.p and 0 <= v < self.p):
-            raise ValueError(f"bad edge ({u}, {v})")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.p, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> Graph:
         if not self.has_edge(u, v):

@@ -69,14 +69,6 @@ class CanonicalForm(NamedTuple):
     def hex(self) -> str:
         return self.certificate.hex()
 
-    @property
-    def p(self) -> int:
-        return self.certificate[0]
-
-    @property
-    def q(self) -> int:
-        return int.from_bytes(self.certificate[1:3], "big")
-
 
 def _refine(
     nbrs: list[tuple[int, ...]], colors: list[int], cells: int

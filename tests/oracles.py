@@ -18,10 +18,10 @@ from polycensus import (
     Graph6Error,
     NonPlanarGraphError,
     canonical_form,
-    canonical_labeling,
     is_3_connected,
     is_planar,
 )
+from polycensus.isomorphism import canonical_labeling
 
 # classes of simple graphs on 1..7 unlabeled vertices, a published
 # sequence; pins the universe builder and the canonical form at once
@@ -46,6 +46,24 @@ def wheel(rim: int) -> Graph:
     return Graph.from_edges(rim + 1, [*cycle(rim).edges(), *spokes])
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """The neighbours of v in ``g``, in ascending order."""
+    return tuple(u for u in range(g.p) if g.has_edge(v, u))
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """``g`` with the edge uv added, which must be new and join two
+    distinct vertices of ``g``."""
+    if u == v or not (0 <= u < g.p and 0 <= v < g.p):
+        raise ValueError(f"bad edge ({u}, {v})")
+    if g.has_edge(u, v):
+        raise ValueError(f"edge ({u}, {v}) already present")
+    rows = list(g.adj)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return Graph(g.p, tuple(rows))
+
+
 def canonical_graph(g: Graph) -> Graph:
     """``g`` relabelled by ``canonical_labeling``: the census and the
     catalog store each class this way."""
@@ -53,7 +71,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:
-    return {v: set(g.neighbors(v)) for v in range(g.p)}
+    return {v: set(neighbors(g, v)) for v in range(g.p)}
 
 
 def set_connected(vertices, adj) -> bool:
@@ -149,7 +167,7 @@ def all_graphs_up_to_iso(p: int) -> tuple[Graph, ...]:
         for g in level.values():
             for a, b in pairs:
                 if not g.has_edge(a, b):
-                    h = canonical_graph(g.add_edge(a, b))
+                    h = canonical_graph(add_edge(g, a, b))
                     nxt.setdefault(canonical_form(h), h)
         if not nxt:
             break
@@ -239,7 +257,16 @@ def _degree_rows(p: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _labeled_graphs_with_degrees(row: tuple[int, ...]):
-    """Every labelled simple graph realizing the given degree vector.
+    """Every labelled simple graph realizing the weakly decreasing degree
+    vector ``row`` in which vertex 0's neighbours in each block of equal
+    degree, vertex 0 left out, are the first vertices of that block.
+
+    Every class with this row keeps a member.  Permuting a block while
+    fixing vertex 0 keeps the degree vector, so it maps each graph with
+    this row onto an isomorphic one with the same row.  Such
+    permutations take any k vertices of a block onto its first k, so
+    they reach every neighbourhood of vertex 0 with the same count in
+    each block, the initial segments among them.
 
     Vertex v's edges to later vertices are chosen once v's earlier
     edges are fixed; branches that strand a later vertex above its
@@ -256,6 +283,10 @@ def _labeled_graphs_with_degrees(row: tuple[int, ...]):
             return
         later = p - v - 1
         for pick in itertools.combinations(cands, rem[v]):
+            if v == 0 and any(
+                u > 1 and row[u - 1] == row[u] and u - 1 not in pick for u in pick
+            ):
+                continue  # not an initial segment of its block
             rem2 = list(rem)
             adj2 = list(adj)
             for u in pick:
@@ -355,6 +386,7 @@ def kuratowski_oracle(g: Graph) -> bool:
         return True
 
     adj = g.adj
+    nbrs = [neighbors(g, v) for v in range(g.p)]
     full = (1 << g.p) - 1
 
     def linked(branch: tuple[int, ...], pairs: list[tuple[int, int]]) -> bool:
@@ -374,7 +406,7 @@ def kuratowski_oracle(g: Graph) -> bool:
                     # a shortest exit never hurts: any completion using
                     # more interior vertices leaves fewer for later pairs
                     return place(i + 1, avail_now)
-                for y in g.neighbors(x):
+                for y in nbrs[x]:
                     if avail_now >> y & 1 and walk(y, avail_now & ~(1 << y)):
                         return True
                 return False

@@ -113,6 +113,21 @@ def test_classify_no_prune(capsys):
     assert "agree on the solution certificates" in out
 
 
+def test_classify_no_prune_validates_the_pruned_sweep(capsys, monkeypatch):
+    # the report printed is the unpruned one, but the pruned sweep's case
+    # sizes are checked too: a pruned scan that lost the q = 14 row fails
+    solve = cli.solve_question
+
+    def losing_a_row(prune=True):
+        report = solve(prune=prune)
+        return report._replace(cases=report.cases[:2]) if prune else report
+
+    monkeypatch.setattr(cli, "solve_question", losing_a_row)
+    code, out, err = run(capsys, "classify", "--no-prune")
+    assert (code, out) == (3, "")
+    assert "unexpected pruned case sizes {12: 2, 13: 9}" in err
+
+
 # sha256 of the `classify --no-prune --report` file
 REPORT_SHA256 = "080f70799fd20584f4b8fb448c9cb117747b7b7ef107f8b2d8f4a1d13b0ef6fe"
 

@@ -14,6 +14,7 @@ from tests.oracles import (
     cycle,
     icosahedron,
     kuratowski_oracle,
+    neighbors,
     petersen,
     shuffled,
     wheel,
@@ -197,7 +198,7 @@ def _glued_along_an_edge(s, t):
     """Triangulations s and t with an edge of each identified."""
     x, y = next(t.edges())
     rest = [v for v in range(t.p) if v not in (x, y)]
-    image = {x: 0, y: s.neighbors(0)[0]} | {v: s.p + k for k, v in enumerate(rest)}
+    image = {x: 0, y: neighbors(s, 0)[0]} | {v: s.p + k for k, v in enumerate(rest)}
     return pc.Graph.from_edges(
         s.p + t.p - 2, [*s.edges(), *((image[a], image[b]) for a, b in t.edges())]
     )

@@ -32,19 +32,24 @@ from polycensus.duality import _face_graph, _faces_through
 from polycensus.enumeration import (
     _accepted_deletions,
     _accepted_splits,
-    _deletion_level,
     _dual_pairs,
     _dual_seeds,
     _embedded_census,
     _embedded_triangulations,
     _keeps_3_connected,
+    _level,
     _relabelled,
     _ring,
     _split,
 )
 from polycensus.graphs import bits
 from polycensus.isomorphism import _labelled_search, _search, canonical_labeling
-from tests.oracles import canonical_graph, exhaustive_polyhedra
+from tests.oracles import (
+    _degree_rows,
+    _labeled_graphs_with_degrees,
+    canonical_graph,
+    exhaustive_polyhedra,
+)
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
 CENSUS_ROWS = {
@@ -75,7 +80,7 @@ def _descended(census, p):
     production reads the dual side, by the same deletion step."""
     levels = dict(census)
     for q in range(min(levels) - 1, (3 * p + 1) // 2 - 1, -1):
-        levels[q] = _deletion_level(levels[q + 1])
+        levels[q] = _level(_accepted_deletions, levels[q + 1])
     return levels
 
 
@@ -138,6 +143,19 @@ def test_census_against_oracle_order_8():
         assert certs(enumerate_polyhedra(8, q)) == oracle, q
         total += len(oracle)
     assert total == 257
+
+
+def test_oracle_scan_size_order_8():
+    # vertex 0's neighbours in each block of equal degree are the block's
+    # first vertices: 41,143 labelled graphs over q = 12..18, of the
+    # 233,937 with those degree rows
+    scanned = sum(
+        1
+        for q in range(12, 19)
+        for row in _degree_rows(8, q)
+        for _ in _labeled_graphs_with_degrees(row)
+    )
+    assert scanned == 41143
 
 
 def test_size_totals_against_a002840():
@@ -206,10 +224,14 @@ def test_split_acceptance_ignores_labels():
             rng.shuffle(perm)
             ext = perm + [p]
             want = {
-                frozenset(_relabelled(s[-2:], ext)) for s, _ in _accepted_splits(faces)
+                frozenset(_relabelled(s[-2:], ext))
+                for _, s in _accepted_splits(t, faces, ())
             }
             got = {
-                frozenset(s[-2:]) for s, _ in _accepted_splits(_moved(faces, perm, rng))
+                frozenset(s[-2:])
+                for _, s in _accepted_splits(
+                    t.relabel(perm), _moved(faces, perm, rng), ()
+                )
             }
             assert got == want, pc.encode(t)
 
@@ -258,13 +280,13 @@ def test_acceptance_rule_ignores_labels():
                 perm = list(range(p))
                 rng.shuffle(perm)
                 want = {
-                    (frozenset((perm[a], perm[b])), frozenset(_relabelled(child, perm)))
-                    for a, b, child in _accepted_deletions(g, faces)
+                    (h.relabel(perm), frozenset(_relabelled(child, perm)))
+                    for h, child in _accepted_deletions(g, faces, ())
                 }
                 got = {
-                    (frozenset((a, b)), frozenset(child))
-                    for a, b, child in _accepted_deletions(
-                        g.relabel(perm), _moved(faces, perm, rng)
+                    (h, frozenset(child))
+                    for h, child in _accepted_deletions(
+                        g.relabel(perm), _moved(faces, perm, rng), ()
                     )
                 }
                 assert got == want, pc.encode(g)
@@ -464,6 +486,33 @@ def test_split_census_equals_the_serial_one(monkeypatch):
         assert max(splits) == cpus  # not vacuous
     assert runs[1] == runs[2]
     # and no child outlives the calls that forked it
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_triangulation_level_equals_the_serial_one(monkeypatch):
+    # no order through 9 has enough triangulations for two chunks, so the
+    # 14 parents of order 9 are cut in two by lowering the chunk floor;
+    # every class keeps the faces and automorphisms of the serial pass
+    serial = _embedded_triangulations(9)  # the orders below are cached too
+    chunked = enumeration._chunked
+    splits = []
+
+    def spy(work, items):
+        out = chunked(work, items)
+        splits.append(len(out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_chunked", spy)
+    monkeypatch.setattr(enumeration, "_MIN_CHUNK", 7)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(enumeration, "_CPUS", cpus)
+        splits.clear()
+        runs[cpus] = _embedded_triangulations.__wrapped__(9)
+        assert splits == [cpus]  # not vacuous
+    assert runs[1] == runs[2] == serial
+    # and no child outlives the call that forked it
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

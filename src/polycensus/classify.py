@@ -13,18 +13,28 @@ The search space is cut down in stages, each stage carrying its reason:
   the vertices.
 
 ``solve_question`` then scans the order-8 census, with or without the
-degree-row pruning, and reports the survivors.
+degree-row pruning, and reports the survivors.  The order-9 bound needs
+nothing of that scan but the triangulations below order 9, so where
+the process may fork, a forked child proves it while the scan runs,
+and the answer is read when the order pruning goes into the report;
+it is kept, and the report is the same bytes on one CPU, where the
+bound is proved in-process.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
 from typing import NamedTuple
 
 from .catalog import CatalogEntry, order_census
 from .duality import _polyhedral
-from .enumeration import enumerate_polyhedra, filter_by_degree_sequence, triangulations
+from .enumeration import (
+    _forked,
+    _may_fork,
+    enumerate_polyhedra,
+    filter_by_degree_sequence,
+    triangulations,
+)
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
 from .isomorphism import canonical_labeling
@@ -67,10 +77,18 @@ def verify_planar_complement_bound() -> bool:
     return all(not is_planar(t.complement()) for t in triangulations(9))
 
 
-@cache
-def prune_order() -> PruneTrace:
-    """Why only order 8 can carry a polyhedral graph with polyhedral
-    complement."""
+def _bound() -> tuple[bool, int]:
+    """Whether the order-9 bound holds, and on how many maximal planar
+    graphs it was checked."""
+    return verify_planar_complement_bound(), len(triangulations(9))
+
+
+def _trace(proved: bool, nine: int) -> PruneTrace:
+    """The order pruning, given the order-9 bound ``_bound`` found."""
+    if not proved:
+        raise ClassificationError(
+            "found a 9-vertex maximal planar graph with planar complement"
+        )
     steps = [
         PruneStep(p, "excluded", f"degree window [3, {p - 4}] is empty", 3, p - 4)
         for p in (4, 5, 6)
@@ -79,11 +97,6 @@ def prune_order() -> PruneTrace:
         PruneStep(7, "excluded", "degrees pinned to 3, but 7 * 3 is odd", 3, 3)
     )
     steps.append(PruneStep(8, "candidate", "degrees confined to [3, 4]", 3, 4))
-    if not verify_planar_complement_bound():
-        raise ClassificationError(
-            "found a 9-vertex maximal planar graph with planar complement"
-        )
-    nine = len(triangulations(9))
     steps.append(
         PruneStep(
             9,
@@ -105,6 +118,18 @@ def prune_order() -> PruneTrace:
         )
     )
     return PruneTrace(tuple(steps))
+
+
+# prune_order's answer once proved, here or in solve_question's child
+_proved: list[PruneTrace] = []
+
+
+def prune_order() -> PruneTrace:
+    """Why only order 8 can carry a polyhedral graph with polyhedral
+    complement; proved once per process."""
+    if not _proved:
+        _proved.append(_trace(*_bound()))
+    return _proved[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +317,27 @@ def solve_question(prune: bool = True) -> ClassificationReport:
     degree vectors and closed under complementation; with prune=False,
     every order-8 size that leaves the complement enough edges is
     scanned whole.  Both must land on the same classes.
+
+    Where the process may fork and the order-9 bound is not yet proved,
+    a forked child proves it during the scan.
     """
+    with _forked([_bound] if not _proved and _may_fork() else []) as sent:
+        rows = candidate_degree_rows()
+        found: set[Graph] = set()
+        cases = []
+        if prune:
+            for cand in rows:
+                graphs = filter_by_degree_sequence(
+                    enumerate_polyhedra(8, cand.q), cand.row
+                )
+                cases.append(_scan(8, cand.q, cand.row, graphs, found))
+        else:
+            for q in range(12, 17):
+                cases.append(_scan(8, q, None, enumerate_polyhedra(8, q), found))
+        solutions = tuple(sorted(map(_entry, found), key=lambda e: e.label))
+    if sent:
+        _proved.append(_trace(*sent[0]))
     trace = prune_order()
-    rows = candidate_degree_rows()
-    found: set[Graph] = set()
-    cases = []
-    if prune:
-        for cand in rows:
-            graphs = filter_by_degree_sequence(
-                enumerate_polyhedra(8, cand.q), cand.row
-            )
-            cases.append(_scan(8, cand.q, cand.row, graphs, found))
-    else:
-        for q in range(12, 17):
-            cases.append(_scan(8, q, None, enumerate_polyhedra(8, q), found))
-    solutions = tuple(sorted(map(_entry, found), key=lambda e: e.label))
     return ClassificationReport(prune, trace, rows, tuple(cases), solutions)
 
 

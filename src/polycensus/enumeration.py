@@ -155,7 +155,8 @@ import marshal
 import os
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from functools import cache, partial
 from itertools import combinations
 from operator import itemgetter
@@ -237,26 +238,29 @@ def _classes(found: dict[bytes, _Entry]) -> _Classes:
     )
 
 
-def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
-    """``work`` of each contiguous chunk of ``items``, in order: one chunk
-    per CPU, of at least ``_MIN_CHUNK`` items, or all of them in one.
+def _may_fork() -> bool:
+    """Whether work may go to forked children: more than one CPU, and no
+    other thread, since a forked child could wait forever on a lock that
+    one of them held."""
+    return _CPUS > 1 and threading.active_count() == 1
 
-    The caller runs the first chunk and a forked child each other one.
-    A child sends its result back through a pipe with marshal, so
-    ``work`` returns ints, bytes, tuples and dicts of them, and leaves
-    by ``os._exit`` whatever happens, so it never returns into the
-    caller's code.  Every child is reaped before this returns or
-    raises; a child that fails raises ChildProcessError.  A process
-    with other threads runs everything itself, as a forked child could
-    wait forever on a lock that one of them held.
+
+@contextmanager
+def _forked(works: Sequence[Callable[[], _R]]) -> Iterator[list[_R]]:
+    """Run each of ``works`` in a forked child while the block runs; the
+    list yielded holds what they returned, in order, once it is left.
+
+    A child sends its result back through a pipe with marshal, so a work
+    returns ints, bytes, tuples and dicts of them, and leaves by
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    code.  Every child is reaped before the block is left; a child that
+    fails raises ChildProcessError, unless the block raised first.
     """
-    n = min(_CPUS, len(items) // _MIN_CHUNK)
-    if n < 2 or threading.active_count() > 1:
-        return [work(items)]
-    size = -(-len(items) // n)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    sent: list[_R] = []
+    raw: list[bytes] = []
     try:
-        for start in range(size, len(items), size):
+        for work in works:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -269,7 +273,7 @@ def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
                 try:
                     os.close(r)
                     with open(w, "wb") as out:
-                        out.write(marshal.dumps(work(items[start : start + size])))
+                        out.write(marshal.dumps(work()))
                     code = 0
                 except BaseException:
                     sys.excepthook(*sys.exc_info())
@@ -277,11 +281,10 @@ def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
                     os._exit(code)
             os.close(w)
             children.append((pid, r))
-        results = [work(items[:size])]
-        sent = []
+        yield sent
         for _, r in children:
             with open(r, "rb", closefd=False) as src:
-                sent.append(src.read())
+                raw.append(src.read())
     finally:
         failed = []
         for pid, r in children:
@@ -290,8 +293,27 @@ def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
             if status:
                 failed.append(os.waitstatus_to_exitcode(status))
     if failed:
-        raise ChildProcessError(f"census work failed in a child process: {failed}")
-    return results + [marshal.loads(b) for b in sent]
+        raise ChildProcessError(f"work failed in a child process: {failed}")
+    sent.extend(map(marshal.loads, raw))
+
+
+def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
+    """``work`` of each contiguous chunk of ``items``, in order: one chunk
+    per CPU, of at least ``_MIN_CHUNK`` items, or all of them in one.
+
+    The caller runs the first chunk and, where it may fork, a forked
+    child each other one, through ``_forked``, which
+    ``classify.solve_question`` uses too for the order-9 bound; so
+    ``work`` returns what marshal sends.
+    """
+    n = min(_CPUS, len(items) // _MIN_CHUNK)
+    if n < 2 or not _may_fork():
+        return [work(items)]
+    size = -(-len(items) // n)
+    starts = range(size, len(items), size)
+    with _forked([partial(work, items[i : i + size]) for i in starts]) as sent:
+        first = work(items[:size])
+    return [first, *sent]
 
 
 def _children(step: Callable, parents: _Classes) -> dict[bytes, _Entry]:

@@ -9,6 +9,7 @@ point is a second, independent route to every answer.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import cache
 
@@ -256,10 +257,11 @@ def _degree_rows(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _labeled_graphs_with_degrees(row: tuple[int, ...]):
-    """Every labelled simple graph realizing the weakly decreasing degree
-    vector ``row`` in which vertex 0's neighbours in each block of equal
-    degree, vertex 0 left out, are the first vertices of that block.
+def _labeled_graphs_with_degrees(row: tuple[int, ...], cut: bool = True):
+    """(graph, weight) for every labelled simple graph realizing the
+    weakly decreasing degree vector ``row`` in which vertex 0's
+    neighbours in each block of equal degree, vertex 0 left out, are the
+    first vertices of that block; with ``cut=False``, for every one.
 
     Every class with this row keeps a member.  Permuting a block while
     fixing vertex 0 keeps the degree vector, so it maps each graph with
@@ -268,25 +270,38 @@ def _labeled_graphs_with_degrees(row: tuple[int, ...]):
     they reach every neighbourhood of vertex 0 with the same count in
     each block, the initial segments among them.
 
+    The weight is the number of labelled graphs of the uncut scan that
+    a graph stands for: the product of C(m_d, k_d) over the blocks, for
+    a block of m_d vertices of degree d holding k_d neighbours of vertex
+    0, and 1 without the cut.  The permutations above fix vertex 0 and
+    map the graphs whose vertex 0 has the same k_d one to one onto each
+    other, and an initial segment is one of the C(m_d, k_d) choices of
+    its neighbours in each block.
+
     Vertex v's edges to later vertices are chosen once v's earlier
     edges are fixed; branches that strand a later vertex above its
     remaining capacity are cut.
     """
     p = len(row)
 
-    def rec(v: int, rem: list[int], adj: list[int]):
+    def rec(v: int, rem: list[int], adj: list[int], weight: int):
         if v == p:
-            yield Graph(p, tuple(adj))
+            yield Graph(p, tuple(adj)), weight
             return
         cands = [u for u in range(v + 1, p) if rem[u] > 0]
         if rem[v] > len(cands):
             return
         later = p - v - 1
         for pick in itertools.combinations(cands, rem[v]):
-            if v == 0 and any(
-                u > 1 and row[u - 1] == row[u] and u - 1 not in pick for u in pick
-            ):
-                continue  # not an initial segment of its block
+            w = weight
+            if v == 0 and cut:
+                if any(
+                    u > 1 and row[u - 1] == row[u] and u - 1 not in pick for u in pick
+                ):
+                    continue  # not an initial segment of its block
+                for d in set(row[1:]):
+                    block = [u for u in range(1, p) if row[u] == d]
+                    w *= math.comb(len(block), len(set(block) & set(pick)))
             rem2 = list(rem)
             adj2 = list(adj)
             for u in pick:
@@ -295,9 +310,14 @@ def _labeled_graphs_with_degrees(row: tuple[int, ...]):
                 adj2[u] |= 1 << v
             rem2[v] = 0
             if all(rem2[u] <= later - 1 for u in range(v + 1, p)):
-                yield from rec(v + 1, rem2, adj2)
+                yield from rec(v + 1, rem2, adj2, w)
 
-    yield from rec(0, list(row), [0] * p)
+    yield from rec(0, list(row), [0] * p, 1)
+
+
+# the order-9 cells the filtration is kept to, both read off duals by
+# the census; (9, 21) took 70 s
+_ORDER_9_CELLS = {(9, 14), (9, 15)}
 
 
 @cache
@@ -310,11 +330,11 @@ def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     """
     if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
         return ()
-    if p > 8:
-        raise ValueError("direct filtration is kept to p <= 8")
+    if p > 8 and (p, q) not in _ORDER_9_CELLS:
+        raise ValueError("direct filtration is kept to p <= 8, (9, 14) and (9, 15)")
     found = {}
     for row in _degree_rows(p, q):
-        for g in _labeled_graphs_with_degrees(row):
+        for g, _ in _labeled_graphs_with_degrees(row):
             if is_planar(g) and is_3_connected(g):
                 cf = canonical_form(g)
                 if cf not in found:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,6 +7,8 @@ import polycensus as pc
 from polycensus import (
     ClassificationError,
     candidate_degree_rows,
+    classify,
+    cli,
     enumeration,
     equal_order_size_system,
     prune_order,
@@ -44,6 +47,78 @@ def test_planar_complement_bound():
     # triangulation has a planar complement
     for g in pc.triangulations(9)[:5]:
         assert not pc.is_planar(g.complement())
+
+
+def _cold_bound(monkeypatch, cpus):
+    """Forget the proved order pruning and run on ``cpus`` CPUs; returns
+    the list that each fork appends to."""
+    monkeypatch.setattr(classify, "_proved", [])
+    monkeypatch.setattr(enumeration, "_CPUS", cpus)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_bound_child_is_reaped_and_proves_once(monkeypatch):
+    forks = _cold_bound(monkeypatch, 2)
+    prove, proofs = classify.verify_planar_complement_bound, []
+    monkeypatch.setattr(
+        classify, "verify_planar_complement_bound", lambda: proofs.append(1) or prove()
+    )
+    report = solve_question()
+    assert forks and not proofs  # proved in a child, not here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the child's answer is kept: a second sweep and prune_order read it
+    # and prove nothing
+    forks.clear()
+    assert solve_question(prune=False).trace is report.trace is prune_order()
+    assert not forks and not proofs
+    # and it is the trace proved here
+    monkeypatch.setattr(classify, "_proved", [])
+    assert prune_order() == report.trace and proofs == [1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_bound_fails_the_classification(monkeypatch, capsys, cpus):
+    # patched before the fork, so the child proves the broken bound
+    forks = _cold_bound(monkeypatch, cpus)
+    monkeypatch.setattr(classify, "verify_planar_complement_bound", lambda: False)
+    with pytest.raises(ClassificationError, match="planar complement"):
+        solve_question()
+    assert bool(forks) == (cpus == 2)
+    capsys.readouterr()
+    assert cli.main(["classify"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "planar complement" in err
+    assert not classify._proved
+
+
+def test_a_dying_bound_child_fails_the_call(monkeypatch, tmp_path):
+    # the parent raises only once every child is reaped, and the child
+    # never comes back into the caller's code, even on an exception that
+    # nothing catches
+    forks = _cold_bound(monkeypatch, 2)
+    me = os.getpid()
+    returned = tmp_path / "returned"
+
+    def dying():
+        if os.getpid() != me:
+            raise KeyboardInterrupt
+        return True, 50
+
+    monkeypatch.setattr(classify, "_bound", dying)
+    try:
+        with pytest.raises(ChildProcessError):
+            solve_question()
+    finally:
+        if os.getpid() != me:
+            returned.write_text("a child returned")
+            os._exit(3)
+    assert forks and not returned.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not classify._proved
 
 
 def test_candidate_degree_rows():

@@ -204,6 +204,52 @@ print(len(searches))
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
 
 
+def test_classify_bytes_on_one_and_two_cpus(tmp_path):
+    # with two CPUs a forked child proves the order-9 bound while the
+    # process sweeps order 8, and the output is byte for byte that of one
+    # CPU, which forks nothing; no child outlives the call
+    script = """
+import os
+import sys
+from polycensus import enumeration
+enumeration._CPUS = int(sys.argv[2])
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+import polycensus.cli
+code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+# the orders of triangulation this process built itself
+built = enumeration._embedded_triangulations.cache_info().currsize
+print(code, len(forks), built, left, file=sys.stderr)
+"""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {}
+    for cpus in (1, 2):
+        report = tmp_path / f"report{cpus}.json"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(report), str(cpus)],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        code, forks, built, left = done.stderr.decode().split()
+        assert (code, left) == ("0", "False")
+        runs[cpus] = (int(forks), int(built), done.stdout, report.read_bytes())
+    one, two = runs[1], runs[2]
+    assert one[:2] == (0, 6)  # orders 4..9, all in this process
+    assert two[0] >= 1 and two[1] == 5  # order 9 only in the child
+    assert one[2:] == two[2:]
+    assert b"agree on the solution certificates" in one[2]
+    assert hashlib.sha256(one[3]).hexdigest() == REPORT_SHA256
+
+
 def test_cold_check_skips_argparse():
     # a cold single-graph call never imports argparse, a share of its
     # start-up worth keeping; enumerate in the same process still loads it

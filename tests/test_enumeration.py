@@ -145,17 +145,42 @@ def test_census_against_oracle_order_8():
     assert total == 257
 
 
+def test_census_against_oracle_order_9():
+    # two cells the census reads off the duals of (7, 14) and (8, 15),
+    # checked by a route that shares no code with the dual route
+    for q, count in ((14, 8), (15, 74)):
+        oracle = certs(exhaustive_polyhedra(9, q))
+        assert certs(enumerate_polyhedra(9, q)) == oracle, q
+        assert len(oracle) == count
+
+
 def test_oracle_scan_size_order_8():
     # vertex 0's neighbours in each block of equal degree are the block's
-    # first vertices: 41,143 labelled graphs over q = 12..18, of the
-    # 233,937 with those degree rows
-    scanned = sum(
-        1
+    # first vertices: 41,143 labelled graphs over q = 12..18, weighing
+    # the 233,937 with those degree rows
+    scan = [
+        w
         for q in range(12, 19)
         for row in _degree_rows(8, q)
-        for _ in _labeled_graphs_with_degrees(row)
-    )
-    assert scanned == 41143
+        for _, w in _labeled_graphs_with_degrees(row)
+    ]
+    assert (len(scan), sum(scan)) == (41143, 233937)
+
+
+def test_oracle_weights_count_the_uncut_scan():
+    # on every degree row at orders 5 to 7 the weights of the cut scan sum
+    # to the number of labelled graphs with that row
+    for p, (uncut, cut) in {5: (4, 4), 6: (165, 59), 7: (4092, 1217)}.items():
+        totals = [0, 0]
+        for q in range((3 * p + 1) // 2, 3 * p - 5):
+            for row in _degree_rows(p, q):
+                scan = [w for _, w in _labeled_graphs_with_degrees(row)]
+                full = [w for _, w in _labeled_graphs_with_degrees(row, cut=False)]
+                assert set(full) == {1}
+                assert sum(scan) == len(full), row
+                totals[0] += len(full)
+                totals[1] += len(scan)
+        assert totals == [uncut, cut], p
 
 
 def test_size_totals_against_a002840():
@@ -629,7 +654,7 @@ def test_enumerate_guard():
 
 def test_exhaustive_guard():
     with pytest.raises(ValueError):
-        exhaustive_polyhedra(9, 14)
+        exhaustive_polyhedra(9, 16)
     assert exhaustive_polyhedra(7, 16) == ()
 
 

@@ -7,6 +7,8 @@ polyhedral complement: all three self-complementary (8, 14) graphs of
 degree sequence 44443333, exactly one of which is not self-dual.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     CatalogEntry,
     build_catalog,
@@ -57,49 +59,10 @@ from .planarity import NonPlanarGraphError, embed, is_planar
 
 __version__ = "0.1.0"
 
+# every public name bound above, none of the submodules that importing
+# them binds as attributes of the package
 __all__ = [
-    "CatalogEntry",
-    "build_catalog",
-    "catalog_to_json",
-    "dot_document",
-    "graph6_lines",
-    "order_census",
-    "CandidateRow",
-    "CaseResult",
-    "ClassificationError",
-    "ClassificationReport",
-    "PruneTrace",
-    "candidate_degree_rows",
-    "equal_order_size_system",
-    "prune_order",
-    "solve_question",
-    "validate_report",
-    "verify_planar_complement_bound",
-    "verify_remark_8_14",
-    "is_3_connected",
-    "NotPolyhedralError",
-    "dual",
-    "is_polyhedral",
-    "is_self_dual",
-    "MAX_ENUM_ORDER",
-    "enumerate_by_size",
-    "enumerate_polyhedra",
-    "filter_by_degree_sequence",
-    "order_bounds",
-    "triangulations",
-    "Graph6Error",
-    "decode",
-    "encode",
-    "MAX_VERTICES",
-    "DegreeSequence",
-    "Graph",
-    "complete",
-    "complete_multipartite",
-    "CanonicalForm",
-    "are_isomorphic",
-    "canonical_form",
-    "is_self_complementary",
-    "NonPlanarGraphError",
-    "embed",
-    "is_planar",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 input error (including malformed graph6 and
-bound violations), 3 verification failure (computed results contradict
-the expected classification).
+Exit codes: 0 success, 1 a forked worker died (an uncaught
+ChildProcessError, with its traceback), 2 input error (including
+malformed graph6 and bound violations), 3 verification failure
+(computed results contradict the expected classification).
 
 The single-graph subcommands (complement, dual, check) take graph6
 strings as arguments or, given none, read one graph6 line per graph
@@ -79,12 +80,10 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
 # subcommands
 
 def cmd_enumerate(args) -> int:
-    if args.q < 6:
-        raise ValueError("no polyhedral graph has fewer than 6 edges")
-    census = enumerate_by_size(args.q)
     out = _resolve_out(args.out) if args.out else None
 
     if args.format == "g6":
+        census = enumerate_by_size(args.q)
         if args.p is not None:
             graphs = census.get(args.p, ())
         else:

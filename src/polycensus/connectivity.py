@@ -1,11 +1,13 @@
 """Connectivity predicates.
 
-``is_3_connected`` decides 3-connectivity straight from the definition:
-delete every vertex subset of size 0, 1 and 2 and test connectivity of
-the rest, at most 137 bitmask searches at order <= 16.  A vertex of
-degree below 3 answers at once, since its neighbours are such a subset.
-It assumes nothing about its input; ``check`` runs it on non-planar
-input, which has no faces to read.
+``is_3_connected`` decides 3-connectivity from the definition: delete
+every pair of vertices and test connectivity of the rest, at most 120
+bitmask searches at order <= 16.  A vertex of degree below 3 answers at
+once, since its neighbours are a cut of size <= 2.  Without one, and
+with p >= 4, every component left by a cut of 0 or 1 vertices has 3 or
+more, so a vertex of one joins the cut and it still cuts: pairs suffice.
+It assumes nothing else about its input; ``check`` runs it on
+non-planar input, which has no faces to read.
 
 Planar graphs need no such search.  ``dual``, ``is_polyhedral``,
 ``check`` and the complement scan read 3-connectivity off the faces of
@@ -24,10 +26,8 @@ from .graphs import Graph, bits
 def _connected_within(adj: tuple[int, ...], mask: int) -> bool:
     """Is the subgraph induced on the vertex bitmask ``mask`` connected?
 
-    Vertex sets of size 0 and 1 count as connected.
+    The empty set and a single vertex count as connected.
     """
-    if mask & (mask - 1) == 0:
-        return True
     start = mask & -mask
     seen = start
     frontier = start
@@ -47,13 +47,7 @@ def is_3_connected(g: Graph) -> bool:
     if p < 4 or any(row.bit_count() < 3 for row in adj):
         return False
     full = (1 << p) - 1
-    if not _connected_within(adj, full):
-        return False
-    for v in range(p):
-        if not _connected_within(adj, full ^ (1 << v)):
-            return False
     for u, v in combinations(range(p), 2):
         if not _connected_within(adj, full ^ (1 << u) ^ (1 << v)):
             return False
     return True
-

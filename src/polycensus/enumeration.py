@@ -193,7 +193,7 @@ def order_bounds(q: int) -> tuple[int, int]:
     window may be empty (q = 7 admits no polyhedral graph).
     """
     if q < 6:
-        raise ValueError("a polyhedral graph has at least 6 edges")
+        raise ValueError("no polyhedral graph has fewer than 6 edges")
     return (q + 8) // 3, 2 * q // 3
 
 
@@ -606,7 +606,7 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     Returns () outside the feasible region.  Orders are supported as
     long as p or the dual order q - p + 2 is at most MAX_ENUM_ORDER.
     """
-    if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
+    if q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
         return ()
     r = q - p + 2
     if min(p, r) > MAX_ENUM_ORDER:

@@ -251,8 +251,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.p != b.p or a.q != b.q:
-        return False
+    # the sorted degree rows hold p (their length) and q (half their sum)
     if a.degree_sequence() != b.degree_sequence():
         return False
     return canonical_form(a) == canonical_form(b)

@@ -7,10 +7,8 @@ import hashlib
 import importlib
 import inspect
 import json
-import os
 import random
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +17,7 @@ import pytest
 import polycensus as pc
 from polycensus import cli, planarity
 from polycensus.cli import main
+from tests.conftest import run_python
 from tests.oracles import glued_graph, random_graph, shuffled, wheel
 
 
@@ -62,6 +61,10 @@ def test_enumerate_bound_violation(capsys):
     code, out, err = run(capsys, "enumerate", "--q", "5")
     assert code == 2
     assert "error" in err
+    # order_bounds gives the message, whatever the format
+    message = "error: no polyhedral graph has fewer than 6 edges\n"
+    for fmt in ("g6", "json", "dot"):
+        assert run(capsys, "enumerate", "--q", "5", "--format", fmt) == (2, "", message)
 
 
 def test_enumerate_json(capsys):
@@ -135,24 +138,15 @@ REPORT_SHA256 = "080f70799fd20584f4b8fb448c9cb117747b7b7ef107f8b2d8f4a1d13b0ef6f
 def test_output_bytes_ignore_the_hash_seed(tmp_path):
     # census order and certificates must not depend on set or dict order
     # of hashed objects: cold processes under three hash seeds
-    src = str(Path(pc.__file__).resolve().parents[1])
     outputs = set()
     for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         report = tmp_path / f"report{seed}.json"
         runs = [
             ["enumerate", "--q", "14", "--format", "json"],
             ["classify", "--no-prune", "--report", str(report)],
         ]
         out = tuple(
-            subprocess.run(
-                [sys.executable, "-m", "polycensus.cli", *argv],
-                env=env,
-                capture_output=True,
-                check=True,
-                timeout=120,
-            ).stdout
+            run_python(["-m", "polycensus.cli", *argv], {"PYTHONHASHSEED": seed}).stdout
             for argv in runs
         )
         outputs.add(out + (report.read_bytes(),))
@@ -184,18 +178,8 @@ slow = {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent"}
 print([sorted(slow & s) for s in seen], code, len(embeds))
 print(len(searches))
 """
-    src = str(Path(pc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     report = tmp_path / "report.json"
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(report)],
-        env=env,
-        capture_output=True,
-        check=True,
-        text=True,
-        timeout=120,
-    ).stdout
+    out = run_python(["-c", script, str(report)]).stdout
     *_, verdict, searches = out.splitlines()
     assert verdict == "[[], []] 0 300"
     # 633 when the catalog searched each class, 520 when the order-8 scan
@@ -226,28 +210,44 @@ except ChildProcessError:
 built = enumeration._embedded_triangulations.cache_info().currsize
 print(code, len(forks), built, left, file=sys.stderr)
 """
-    src = str(Path(pc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     runs = {}
     for cpus in (1, 2):
         report = tmp_path / f"report{cpus}.json"
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(report), str(cpus)],
-            env=env,
-            capture_output=True,
-            check=True,
-            timeout=120,
-        )
-        code, forks, built, left = done.stderr.decode().split()
+        done = run_python(["-c", script, str(report), str(cpus)])
+        code, forks, built, left = done.stderr.split()
         assert (code, left) == ("0", "False")
         runs[cpus] = (int(forks), int(built), done.stdout, report.read_bytes())
     one, two = runs[1], runs[2]
     assert one[:2] == (0, 6)  # orders 4..9, all in this process
     assert two[0] >= 1 and two[1] == 5  # order 9 only in the child
     assert one[2:] == two[2:]
-    assert b"agree on the solution certificates" in one[2]
+    assert "agree on the solution certificates" in one[2]
     assert hashlib.sha256(one[3]).hexdigest() == REPORT_SHA256
+
+
+def test_a_dying_worker_exits_1():
+    # a forked worker that dies is no input error and no failed
+    # verification: the ChildProcessError goes uncaught, Python prints its
+    # traceback and exits 1, and every child is reaped first
+    script = """
+import os
+import sys
+from polycensus import classify, enumeration
+enumeration._CPUS = 2
+classify._bound = lambda: os._exit(5)
+import polycensus.cli
+try:
+    polycensus.cli.main(["classify"])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("child left")
+    except ChildProcessError:
+        print("no child left")
+"""
+    done = run_python(["-c", script], check=False)
+    assert (done.returncode, done.stdout) == (1, "no child left\n")
+    assert "ChildProcessError: work failed in a child process: [5]" in done.stderr
 
 
 def test_cold_check_skips_argparse():
@@ -261,17 +261,7 @@ print("argparse" in sys.modules, code)
 code = polycensus.cli.main(["enumerate", "--q", "6"])
 print("argparse" in sys.modules, code)
 """
-    src = str(Path(pc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        check=True,
-        text=True,
-        timeout=120,
-    ).stdout
+    out = run_python(["-c", script]).stdout
     assert out.splitlines() == [
         "planar=true 3-connected=true polyhedral=true "
         "self-dual=true self-complementary=false",

@@ -49,6 +49,20 @@ def test_3_connected_examples():
     # K5 with a pendant vertex: the rest is 4-connected
     pendant = pc.Graph.from_edges(6, [*pc.complete(5).edges(), (0, 5)])
     assert not pc.is_3_connected(pendant)
+    # minimum degree 3 on 8 vertices, past the exhaustive universe: cuts
+    # of 0 and 1 vertices, which the pair deletions must still find
+    k4 = list(pc.complete(4).edges())
+    shifted = [(u + 4, v + 4) for u, v in k4]
+    k5 = [(u + 3, v + 3) for u, v in pc.complete(5).edges()]
+    cases = {
+        "2K4": (pc.Graph.from_edges(8, k4 + shifted), False),
+        "K4 and K5 sharing a vertex": (pc.Graph.from_edges(8, k4 + k5), False),
+        "two K4s joined by an edge": (pc.Graph.from_edges(8, k4 + shifted + [(3, 4)]), False),
+        "K4,4": (pc.complete_multipartite(4, 4), True),
+    }
+    for name, (g, expected) in cases.items():
+        assert pc.is_3_connected(g) == brute_3_connected(g) == expected, name
+    assert not pc.is_planar(cases["K4,4"][0])
 
 
 def test_3_connected_against_oracle_exhaustive(universe):

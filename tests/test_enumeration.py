@@ -11,11 +11,8 @@ import hashlib
 import inspect
 import os
 import random
-import subprocess
-import sys
 from functools import cache
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -44,6 +41,7 @@ from polycensus.enumeration import (
 )
 from polycensus.graphs import bits
 from polycensus.isomorphism import _labelled_search, _search, canonical_labeling
+from tests.conftest import run_python
 from tests.oracles import (
     _degree_rows,
     _labeled_graphs_with_degrees,
@@ -560,18 +558,9 @@ for q in range(6, 22):
                 digest.update(pc.canonical_form(g).certificate)
 print(enumeration._CPUS, digest.hexdigest())
 """
-    src = str(Path(pc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cpu = min(os.sched_getaffinity(0))
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-        capture_output=True,
-        check=True,
-        text=True,
-        timeout=120,
+    out = run_python(
+        ["-c", script], preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
     ).stdout
     assert out.split() == ["1", CENSUS_DIGEST]
 
@@ -598,17 +587,7 @@ for q in range(6, 18):
     catalog.order_census(q)
 print(classes, census, len(searches) - census)
 """
-    src = str(Path(pc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        check=True,
-        text=True,
-        timeout=120,
-    ).stdout
+    out = run_python(["-c", script]).stdout
     assert out.split() == ["5268", "5591", "353"]
 
 

@@ -176,23 +176,30 @@ def dot_document(named: Iterable[tuple[str, Graph]]) -> str:
     return "".join(chunks)
 
 
+def _entry_record(e: CatalogEntry) -> dict:
+    """The JSON fields of an entry that the classify report lists too."""
+    return {
+        "label": e.label,
+        "published_name": e.published_name,
+        "graph6": encode(e.graph),
+        "certificate": e.certificate.hex,
+        "degrees": e.degree_sequence().compact(),
+        "self_complementary": e.self_complementary,
+        "self_dual": e.self_dual,
+        "dual_label": e.dual_label,
+    }
+
+
 def catalog_to_json(entries: Iterable[CatalogEntry]) -> str:
     doc = {
         "schema_version": 1,
         "entries": [
             {
-                "label": e.label,
-                "graph6": encode(e.graph),
-                "certificate": e.certificate.hex,
+                **_entry_record(e),
                 "p": e.p,
                 "q": e.q,
                 "r": e.r,
-                "degrees": e.degree_sequence().compact(),
-                "self_dual": e.self_dual,
-                "self_complementary": e.self_complementary,
                 "complement_polyhedral": e.complement_polyhedral,
-                "dual_label": e.dual_label,
-                "published_name": e.published_name,
             }
             for e in entries
         ],

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .catalog import CatalogEntry, order_census
+from .catalog import CatalogEntry, _entry_record, order_census
 from .duality import _polyhedral
 from .enumeration import (
     _forked,
@@ -265,19 +265,7 @@ class ClassificationReport(NamedTuple):
                 }
                 for c in self.cases
             ],
-            "solutions": [
-                {
-                    "label": e.label,
-                    "published_name": e.published_name,
-                    "graph6": encode(e.graph),
-                    "certificate": e.certificate.hex,
-                    "degrees": e.degree_sequence().compact(),
-                    "self_complementary": e.self_complementary,
-                    "self_dual": e.self_dual,
-                    "dual_label": e.dual_label,
-                }
-                for e in self.solutions
-            ],
+            "solutions": [_entry_record(e) for e in self.solutions],
         }
 
     def to_json(self) -> str:

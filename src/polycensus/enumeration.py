@@ -33,8 +33,6 @@ parent's (below), deleting ab merges the two faces beside it and keeps
 the rest, and a new class relabels its faces by its canonical
 labelling.  One search per child gives its certificate, its labelling
 and its automorphisms, and only a child of a new class is relabelled.
-The dual of each class is searched from the class's automorphisms,
-which permute its faces, the dual's vertices.
 
 Most children, of a split or of a deletion, are isomorphic to a child
 of another parent, so a child is canonically labelled only when the
@@ -568,21 +566,13 @@ def _embedded_census(p: int) -> dict[int, _Classes]:
     return out
 
 
-def _dual_seeds(faces: _Faces, gens: _Gens) -> _Gens:
-    """The automorphisms ``gens`` of a polyhedral graph as permutations of
-    its ``faces``, the vertices of its dual; automorphisms of a polyhedral
-    graph permute its faces (Whitney)."""
-    index = {f: k for k, f in enumerate(faces)}
-    return tuple(tuple(index[f] for f in _relabelled(faces, g)) for g in gens)
-
-
 def _duals(classes: _Classes) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
     """(certificate, canonical rows) of the dual of each of ``classes``,
     read off the carried faces."""
     out = []
-    for h, _, faces, gens in classes:
+    for h, _, faces, _ in classes:
         d = _face_graph(h, faces)
-        cf, label, _ = _labelled_search(d, _dual_seeds(faces, gens))
+        cf, label, _ = _labelled_search(d)
         out.append((cf.certificate, d.relabel(label).adj))
     return tuple(out)
 

@@ -27,11 +27,42 @@ def bits(mask: int) -> tuple[int, ...]:
     return _LOW[mask & 255] + _HIGH[mask >> 8]
 
 
-class DegreeSequence:
-    """Weakly decreasing vertex degrees with an even sum.
+class _Value:
+    """An immutable value whose fields are its class's ``__slots__``:
+    equal when of the same class with equal fields, hashed as the tuple
+    of its fields, shown and pickled as a call of its constructor on
+    them."""
 
-    Immutable and compared by value, as ``Graph`` is.
-    """
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class DegreeSequence(_Value):
+    """Weakly decreasing vertex degrees with an even sum, an immutable
+    value like ``Graph``."""
 
     __slots__ = ("degrees",)
     degrees: tuple[int, ...]
@@ -81,33 +112,10 @@ class DegreeSequence:
     def __getitem__(self, i: int) -> int:
         return self.degrees[i]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.degrees == other.degrees
 
-    def __hash__(self) -> int:
-        return hash((self.degrees,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(degrees={self.degrees!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.degrees,)
-
-
-class Graph:
-    """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of vertex ``v``.
-
-    Immutable and compared by value: equal when of the same class with
-    equal fields, hashed as the tuple of its fields.
-    """
+class Graph(_Value):
+    """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of
+    vertex ``v``; an immutable value with the fields ``p`` and ``adj``."""
 
     __slots__ = ("p", "adj")
     p: int
@@ -152,26 +160,6 @@ class Graph:
         object.__setattr__(g, "p", p)
         object.__setattr__(g, "adj", adj)
         return g
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.adj) == (other.p, other.adj)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.adj))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(p={self.p!r}, adj={self.adj!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.p, self.adj)
 
     @classmethod
     def from_edges(cls, p: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -238,7 +226,7 @@ class Graph:
 
 
 # ====== Named constructions ======
-# K_p, whose K4 seeds the census, and the complete multipartite graphs,
+# K_p, whose K4 starts the census, and the complete multipartite graphs,
 # such as the octahedron K2,2,2; tests build the rest from edge lists.
 
 

@@ -40,20 +40,10 @@ certificate and every catalog label read that exact leaf.  Four rules cut the wo
 
 The first leaf is packed only when a second leaf needs comparing with
 it; most planar inputs refine to a single leaf.
-
-A search may start from automorphisms given by its caller, which the
-pruning treats as if found at ties.  That keeps the first least leaf:
-the pruning argument asks only that an automorphism fixing the path
-maps an earlier sibling's subtree onto w's, leaf for leaf with equal
-bits, and holds for any automorphism, wherever it came from.  A given
-one never moves the search back up the tree, which only a tie's path
-does, so it prunes siblings and nothing else.  The census seeds the
-search of each dual with its primal's automorphisms, carried to faces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,12 +110,11 @@ def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
 
 
 def _search(
-    p: int, adj: tuple[int, ...], seeds: Iterable[tuple[int, ...]] = ()
+    p: int, adj: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[list[int]]]:
     """Labelling (vertex -> position) minimizing the packed adjacency
-    bits, and the automorphisms (v -> image) the search kept: the
-    ``seeds``, which must be automorphisms, and those found at ties."""
-    autos = [list(g) for g in seeds]
+    bits, and the automorphisms (v -> image) the search found at ties."""
+    autos: list[list[int]] = []
     q2 = sum(row.bit_count() for row in adj)
     if q2 == 0 or q2 == p * (p - 1):
         return tuple(range(p)), autos  # empty or complete: every labelling ties
@@ -220,15 +209,15 @@ def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
 
 
 def _labelled_search(
-    g: Graph, seeds: Iterable[tuple[int, ...]] = ()
+    g: Graph,
 ) -> tuple[CanonicalForm, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Certificate, canonical labelling and kept automorphisms of ``g``
-    from one uncached search, started from the automorphisms ``seeds``.
+    from one uncached search.
 
     The automorphisms are returned in canonical labels: sigma on g
     becomes tau on the canonical graph, tau[label[v]] = label[sigma[v]].
     """
-    label, autos = _search(g.p, g.adj, seeds)
+    label, autos = _search(g.p, g.adj)
     gens = []
     for sigma in autos:
         tau = [0] * g.p

@@ -5,7 +5,6 @@ import ast
 import doctest
 import hashlib
 import importlib
-import inspect
 import json
 import random
 import re
@@ -569,13 +568,21 @@ def test_readme_library_example():
 
 
 def test_all_lists_exactly_the_public_names():
-    public = {
-        name
-        for name, value in vars(pc).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert len(pc.__all__) == len(set(pc.__all__))
-    assert set(pc.__all__) == public
+    # __all__ is, in order, the public names that the package's own
+    # "from .<module> import ..." lines bind, each the very object its
+    # submodule defines under that name
+    source = Path(pc.__file__).read_text()
+    imported = [
+        (node.module, alias.name, alias.asname or alias.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    ]
+    public = [bound for _, _, bound in imported if not bound.startswith("_")]
+    assert pc.__all__ == public
+    for module, name, bound in imported:
+        submodule = importlib.import_module(f"polycensus.{module}")
+        assert getattr(pc, bound) is getattr(submodule, name), bound
     # the README's Library section names every public name, in a code
     # span or a >>> line, and every pc.<name> it uses is public
     readme = (Path(__file__).parents[1] / "README.md").read_text()

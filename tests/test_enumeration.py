@@ -30,7 +30,6 @@ from polycensus.enumeration import (
     _accepted_deletions,
     _accepted_splits,
     _dual_pairs,
-    _dual_seeds,
     _embedded_census,
     _embedded_triangulations,
     _keeps_3_connected,
@@ -40,7 +39,7 @@ from polycensus.enumeration import (
     _split,
 )
 from polycensus.graphs import bits
-from polycensus.isomorphism import _labelled_search, _search, canonical_labeling
+from polycensus.isomorphism import _certificate, _labelled_search, canonical_labeling
 from tests.conftest import run_python
 from tests.oracles import (
     _degree_rows,
@@ -345,7 +344,8 @@ def test_carried_generators_are_automorphisms():
 def test_census_classes_carry_their_certificates():
     # each class keeps the certificate it was filed under, K4 included,
     # which is never searched, and each dual pair its dual's; both must be
-    # the ones a fresh search gives
+    # the ones a fresh search gives, and each class and dual is stored as
+    # its canonical graph, which the identity labels with that certificate
     classes = 0
     for p in range(4, 10):
         for q, cell in _embedded_census(p).items():
@@ -354,26 +354,10 @@ def test_census_classes_carry_their_certificates():
             for h, c, dc, d in pairs:
                 assert c == _labelled_search(h)[0].certificate, pc.encode(h)
                 assert dc == _labelled_search(d)[0].certificate, pc.encode(h)
+                assert _certificate(h, tuple(range(h.p))).certificate == c, pc.encode(h)
+                assert _certificate(d, tuple(range(d.p))).certificate == dc, pc.encode(h)
                 classes += 1
     assert classes == 2809  # every direct-side class through order 9
-
-
-def test_dual_seeds_are_automorphisms_and_keep_the_labelling():
-    # a class's automorphisms, carried to its faces, must be automorphisms
-    # of its dual, and a search started from them must return the
-    # labelling of the unseeded search, on every dual through order 9
-    seeded = 0
-    for p in range(4, 10):
-        for classes in _embedded_census(p).values():
-            for h, _, faces, gens in classes:
-                d = _face_graph(h, faces)
-                seeds = _dual_seeds(faces, gens)
-                for seed in seeds:
-                    assert d.relabel(seed) == d, (pc.encode(h), seed)
-                label, _ = _search(d.p, d.adj, seeds)
-                assert label == canonical_labeling(d), pc.encode(h)
-                seeded += bool(seeds)
-    assert seeded == 603  # not vacuous
 
 
 def test_census_leaves_the_labelling_cache_alone(monkeypatch):

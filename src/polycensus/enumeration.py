@@ -120,19 +120,20 @@ on which child reached a class first.  The automorphisms a class
 carries do, but they decide only which repeats are skipped.
 
 On every CPU.  A level, of splits or of deletions, is cut into
-contiguous chunks of its parents, and the duals of a cell into
-contiguous chunks of its classes, one chunk per CPU the process may
-run on; the caller runs the first and a forked child each other one
-(``_chunked``).  No parent's children depend on another parent's,
-since every accepted child is searched whether its class is filed or
-not.  So each chunk files its children first-wins in parent order, and
-merging the chunks in order, first-wins again, files every class from
-the same child, with the same faces and automorphisms, as one pass over
-all the parents would; the duals come back in class order.  The output
-is byte for byte that of the serial pass.  With one CPU, without fork,
-in a process with other threads, or with too few items for two chunks
-of ``_MIN_CHUNK``, the work runs in-process as one chunk, through the
-same code.
+contiguous chunks of ``_CHUNK`` parents, and the duals of a cell into
+contiguous chunks of its classes.  The chunks form a queue: the caller
+and a forked child per other CPU the process may run on each take the
+next chunk whenever they finish one (``_chunked``), so a side that runs
+slower takes fewer chunks and no side waits long for another.  No
+parent's children depend on another parent's, since every accepted
+child is searched whether its class is filed or not.  So each chunk
+files its children first-wins in parent order, and merging the chunks
+in index order, whoever ran them, first-wins again, files every class
+from the same child, with the same faces and automorphisms, as one pass
+over all the parents would; the duals come back in class order.  The
+output is byte for byte that of the serial pass.  With one CPU, without
+fork, in a process with other threads, or with one chunk, the work runs
+in-process as one chunk, through the same code.
 
 The deletion check is cheap because deletion only lowers degrees: the
 faces of g are read once per parent, and its pairs C(g) are sorted by
@@ -180,8 +181,9 @@ _CPUS = (
     if hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
     else 1
 )
-# the fewest items worth a chunk, and a fork, of their own
-_MIN_CHUNK = 16
+# the items in a chunk of a level's queue, grown on long levels so that
+# a call writes at most 255 one-byte tokens
+_CHUNK = 8
 
 
 def order_bounds(q: int) -> tuple[int, int]:
@@ -296,22 +298,44 @@ def _forked(works: Sequence[Callable[[], _R]]) -> Iterator[list[_R]]:
 
 
 def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
-    """``work`` of each contiguous chunk of ``items``, in order: one chunk
-    per CPU, of at least ``_MIN_CHUNK`` items, or all of them in one.
+    """``work`` of each contiguous chunk of ``items``, in order: chunks of
+    ``_CHUNK`` items, or of more where that would make over 255, or all
+    of them in one where there is one chunk or the process may not fork.
 
-    The caller runs the first chunk and, where it may fork, a forked
-    child each other one, through ``_forked``, which
-    ``classify.solve_question`` uses too for the order-9 bound; so
-    ``work`` returns what marshal sends.
+    The chunks form a queue, one byte per chunk index in a pipe, which
+    the caller and a forked child per other CPU, through ``_forked``,
+    drain a byte at a time, so a side that runs faster takes more of
+    them.  Each side returns {index: result}, and the results come back
+    in index order.  ``classify.solve_question`` uses ``_forked`` too,
+    for the order-9 bound; so ``work`` returns what marshal sends.
     """
-    n = min(_CPUS, len(items) // _MIN_CHUNK)
+    size = max(_CHUNK, -(-len(items) // 255))
+    n = -(-len(items) // size)
     if n < 2 or not _may_fork():
         return [work(items)]
-    size = -(-len(items) // n)
-    starts = range(size, len(items), size)
-    with _forked([partial(work, items[i : i + size]) for i in starts]) as sent:
-        first = work(items[:size])
-    return [first, *sent]
+    r, w = os.pipe()
+    try:
+        # at most 255 bytes, under PIPE_BUF, so the write cannot block;
+        # with the write end closed, a read of the drained pipe gives b""
+        os.write(w, bytes(range(n)))
+    finally:
+        os.close(w)
+
+    def take() -> dict[int, _R]:
+        done = {}
+        while token := os.read(r, 1):
+            i = token[0]
+            done[i] = work(items[i * size : (i + 1) * size])
+        return done
+
+    try:
+        with _forked([take] * (min(_CPUS, n) - 1)) as sent:
+            done = take()
+    finally:
+        os.close(r)
+    for theirs in sent:
+        done.update(theirs)
+    return [done[i] for i in range(n)]
 
 
 def _children(step: Callable, parents: _Classes) -> dict[bytes, _Entry]:

@@ -11,6 +11,8 @@ import hashlib
 import inspect
 import os
 import random
+import select
+from contextlib import contextmanager
 from functools import cache
 from itertools import combinations
 
@@ -263,6 +265,7 @@ def test_splits_skip_most_canonical_forms(monkeypatch):
     # vertex per automorphism orbit, and only the 90 whose new edge is a
     # best contractible edge are canonically labelled
     _embedded_triangulations(9)  # cached with order 8; not counted
+    monkeypatch.setattr(enumeration, "_CPUS", 1)  # a child's calls go uncounted
     splits = _count(monkeypatch, enumeration, "_split")
     forms = _count(monkeypatch, enumeration, "_labelled_search")
     embeds = _count(monkeypatch, planarity, "_embed_block")
@@ -472,25 +475,25 @@ def _census_and_duals(p):
     return census, {q: _dual_pairs.__wrapped__(p, q) for q in census}
 
 
+def _forks(monkeypatch):
+    """The list that each fork in this process appends to."""
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 def test_split_census_equals_the_serial_one(monkeypatch):
     # each chunk of parents files its children first-wins and the chunks
-    # merge in order, so every class keeps the faces and automorphisms of
-    # the serial pass, and every dual its certificate and labelling
-    chunked = enumeration._chunked
-    splits = []
-
-    def spy(work, items):
-        out = chunked(work, items)
-        splits.append(len(out))
-        return out
-
-    monkeypatch.setattr(enumeration, "_chunked", spy)
+    # merge in index order, whichever process ran them, so every class
+    # keeps the faces and automorphisms of the serial pass, and every dual
+    # its certificate and labelling
+    forks = _forks(monkeypatch)
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(enumeration, "_CPUS", cpus)
-        splits.clear()
+        forks.clear()
         runs[cpus] = [_census_and_duals(p) for p in range(4, 10)]
-        assert max(splits) == cpus  # not vacuous
+        assert bool(forks) == (cpus > 1)  # not vacuous
     assert runs[1] == runs[2]
     # and no child outlives the calls that forked it
     with pytest.raises(ChildProcessError):
@@ -498,26 +501,17 @@ def test_split_census_equals_the_serial_one(monkeypatch):
 
 
 def test_split_triangulation_level_equals_the_serial_one(monkeypatch):
-    # no order through 9 has enough triangulations for two chunks, so the
-    # 14 parents of order 9 are cut in two by lowering the chunk floor;
+    # the 14 parents of order 9, the only split level through order 9
+    # with two chunks, are shared out between the caller and a child;
     # every class keeps the faces and automorphisms of the serial pass
     serial = _embedded_triangulations(9)  # the orders below are cached too
-    chunked = enumeration._chunked
-    splits = []
-
-    def spy(work, items):
-        out = chunked(work, items)
-        splits.append(len(out))
-        return out
-
-    monkeypatch.setattr(enumeration, "_chunked", spy)
-    monkeypatch.setattr(enumeration, "_MIN_CHUNK", 7)
+    forks = _forks(monkeypatch)
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(enumeration, "_CPUS", cpus)
-        splits.clear()
+        forks.clear()
         runs[cpus] = _embedded_triangulations.__wrapped__(9)
-        assert splits == [cpus]  # not vacuous
+        assert len(forks) == cpus - 1  # not vacuous
     assert runs[1] == runs[2] == serial
     # and no child outlives the call that forked it
     with pytest.raises(ChildProcessError):
@@ -575,25 +569,92 @@ print(classes, census, len(searches) - census)
     assert out.split() == ["5268", "5591", "353"]
 
 
+@contextmanager
+def _child_takes_a_chunk():
+    """A side pipe that makes a forked child take a chunk: the function
+    yielded, called at the start of each chunk, writes the chunk's index
+    to the pipe in a child and, in the caller's first chunk, waits a few
+    seconds at most for a child's byte.  The read end is yielded too."""
+    me = os.getpid()
+    r, w = os.pipe()
+    waited = []
+
+    def handshake(chunk):
+        if os.getpid() != me:
+            os.write(w, bytes([chunk[0] // enumeration._CHUNK]))
+        elif not waited:
+            waited.append(1)
+            assert select.select([r], [], [], 5)[0], "no child took a chunk"
+
+    try:
+        yield handshake, r
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_chunks_are_queued_across_processes(monkeypatch):
+    # with the caller held until a child has started a chunk, both run
+    # chunks off the queue; each chunk runs once, its result comes back
+    # in chunk order, and no child and no descriptor is left behind
+    monkeypatch.setattr(enumeration, "_CPUS", 2)
+    me = os.getpid()
+    size = enumeration._CHUNK
+    chunks = [tuple(range(i * size, (i + 1) * size)) for i in range(5)]
+    fds = os.listdir("/dev/fd")
+    with _child_takes_a_chunk() as (handshake, side):
+        mine = []
+
+        def work(chunk):
+            handshake(chunk)
+            if os.getpid() == me:
+                mine.append(chunk[0] // size)
+            return os.getpid(), chunk
+
+        out = enumeration._chunked(work, sum(chunks, ()))
+        theirs = list(os.read(side, len(chunks)))
+    assert [chunk for _, chunk in out] == chunks
+    assert sorted(mine + theirs) == list(range(len(chunks)))
+    assert [i for i, (pid, _) in enumerate(out) if pid == me] == sorted(mine)
+    assert len({pid for pid, _ in out}) == 2
+    assert os.listdir("/dev/fd") == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_long_level_takes_at_most_255_chunks(monkeypatch):
+    # one token per chunk must fit one write to the pipe, so 10,000 items
+    # go out in 250 chunks of 40, and come back as the serial pass has them
+    monkeypatch.setattr(enumeration, "_CPUS", 2)
+    items = tuple(range(10_000))
+    out = enumeration._chunked(tuple, items)
+    assert len(out) == 250
+    assert sum(out, ()) == items
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_failing_chunk_fails_the_call(monkeypatch, tmp_path):
     # the parent raises, reaps every child first, and no child comes back
     # into the caller's code, even on an exception that nothing catches
     monkeypatch.setattr(enumeration, "_CPUS", 2)
     me = os.getpid()
     returned = tmp_path / "returned"
+    with _child_takes_a_chunk() as (handshake, _):
 
-    def work(chunk):
-        if os.getpid() != me:
-            raise KeyboardInterrupt
-        return tuple(chunk)
+        def work(chunk):
+            handshake(chunk)
+            if os.getpid() != me:
+                raise KeyboardInterrupt
+            return tuple(chunk)
 
-    try:
-        with pytest.raises(ChildProcessError):
-            enumeration._chunked(work, tuple(range(4 * enumeration._MIN_CHUNK)))
-    finally:
-        if os.getpid() != me:
-            returned.write_text("a child returned")
-            os._exit(3)
+        try:
+            with pytest.raises(ChildProcessError):
+                enumeration._chunked(work, tuple(range(4 * enumeration._CHUNK)))
+        finally:
+            if os.getpid() != me:
+                returned.write_text("a child returned")
+                os._exit(3)
     assert not returned.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

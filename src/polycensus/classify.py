@@ -272,7 +272,7 @@ class ClassificationReport(NamedTuple):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _scan(p: int, q: int, row, graphs, found: set[Graph]) -> CaseResult:
+def _scan(p: int, q: int, row, graphs) -> CaseResult:
     non_planar = not_3conn = 0
     winners = []
     for g in graphs:
@@ -285,9 +285,6 @@ def _scan(p: int, q: int, row, graphs, found: set[Graph]) -> CaseResult:
             not_3conn += 1
             continue
         winners.append(g)
-        # a census class is stored as its canonical graph; the complement,
-        # a solution too, is named by its canonical graph in the same way
-        found.update((g, c.relabel(canonical_labeling(c))))
     return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 
 
@@ -311,18 +308,25 @@ def solve_question(prune: bool = True) -> ClassificationReport:
     """
     with _forked([_bound] if not _proved and _may_fork() else []) as sent:
         rows = candidate_degree_rows()
-        found: set[Graph] = set()
         cases = []
         if prune:
             for cand in rows:
                 graphs = filter_by_degree_sequence(
                     enumerate_polyhedra(8, cand.q), cand.row
                 )
-                cases.append(_scan(8, cand.q, cand.row, graphs, found))
+                cases.append(_scan(8, cand.q, cand.row, graphs))
         else:
             for q in range(12, 17):
-                cases.append(_scan(8, q, None, enumerate_polyhedra(8, q), found))
-        solutions = tuple(sorted(map(_entry, found), key=lambda e: e.label))
+                cases.append(_scan(8, q, None, enumerate_polyhedra(8, q)))
+        found = {_entry(g) for case in cases for g in case.solutions}
+        # the complement of a winner is a solution too: the winner's own
+        # class when the catalog has it self-complementary, else named by
+        # its canonical graph, as a census class is stored
+        for e in list(found):
+            if not e.self_complementary:
+                c = e.graph.complement()
+                found.add(_entry(c.relabel(canonical_labeling(c))))
+        solutions = tuple(sorted(found, key=lambda e: e.label))
     if sent:
         _proved.append(_trace(*sent[0]))
     trace = prune_order()

@@ -250,12 +250,15 @@ def _forked(works: Sequence[Callable[[], _R]]) -> Iterator[list[_R]]:
     """Run each of ``works`` in a forked child while the block runs; the
     list yielded holds what they returned, in order, once it is left.
 
-    A child sends its result back through a pipe with marshal, so a work
-    returns ints, bytes, tuples and dicts of them, and leaves by
-    ``os._exit`` whatever happens, so it never returns into the caller's
-    code.  Every child is reaped before the block is left; a child that
-    fails raises ChildProcessError, unless the block raised first.
+    A child counts as one CPU, so no work forks again: the caller's
+    children already hold the other CPUs.  It sends its result back
+    through a pipe with marshal, so a work returns ints, bytes, tuples
+    and dicts of them, and leaves by ``os._exit`` whatever happens, so it
+    never returns into the caller's code.  Every child is reaped before
+    the block is left; a child that fails raises ChildProcessError,
+    unless the block raised first.
     """
+    global _CPUS
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     sent: list[_R] = []
     raw: list[bytes] = []
@@ -269,6 +272,7 @@ def _forked(works: Sequence[Callable[[], _R]]) -> Iterator[list[_R]]:
                 os.close(w)
                 raise
             if pid == 0:
+                _CPUS = 1
                 code = 1
                 try:
                     os.close(r)

@@ -38,8 +38,22 @@ certificate and every catalog label read that exact leaf.  Four rules cut the wo
   leaf's branch below that prefix is then skipped at once.  The root
   is the k = 0 case.
 
-The first leaf is packed only when a second leaf needs comparing with
-it; most planar inputs refine to a single leaf.
+The plain search packs the first leaf only when a second leaf needs
+comparing with it; most planar inputs refine to a single leaf.
+
+One more rule decides isomorphism without a certificate: a targeted
+search.  Given the packed bits of some leaf, the search stops at the
+first leaf that packs to them, and until then visits the leaves the
+plain search visits, in the same order, keeping the same automorphisms.
+It meets every bit string of its tree: each pruning rule above drops
+only a subtree that a found automorphism maps onto one already
+explored, leaf for leaf with equal bits.  The tree is built from
+structure alone, so an isomorphism from a to b carries a's tree onto
+b's, each leaf onto one with equal bits; and a leaf of b with the bits
+of a leaf of a relabels b onto a.  So a and b are isomorphic exactly
+when b's search targeted at the bits of one leaf of a, its first, finds
+a leaf.  A "yes" costs a's first path and b's search up to the match,
+where two certificates cost two full searches.
 """
 
 from __future__ import annotations
@@ -109,33 +123,86 @@ def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
     return out
 
 
+def _root(nbrs: list[tuple[int, ...]], adj: tuple[int, ...]) -> tuple[list[int], int]:
+    """The root of the tree: degree ranks, refined."""
+    deg = [row.bit_count() for row in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(deg)))}
+    return _refine(nbrs, [rank[d] for d in deg], len(rank))
+
+
+def _split_class(colors: list[int]) -> int:
+    """The first colour held by two or more vertices."""
+    size = [0] * len(colors)
+    for c in colors:
+        size[c] += 1
+    cell = 0
+    while size[cell] == 1:
+        cell += 1
+    return cell
+
+
+def _individualise(
+    nbrs: list[tuple[int, ...]], colors: list[int], cells: int, cell: int, w: int
+) -> tuple[list[int], int]:
+    """The child that individualises w, a member of class ``cell``: w
+    keeps the class's colour, its other members take the next one."""
+    child = [c if c < cell or u == w else c + 1 for u, c in enumerate(colors)]
+    return _refine(nbrs, child, cells + 1)
+
+
+def _first_leaf(g: Graph) -> list[int]:
+    """The first leaf of the tree of ``g``, the one every search meets
+    first: each node individualises the first member of its class."""
+    nbrs = [bits(row) for row in g.adj]
+    colors, cells = _root(nbrs, g.adj)
+    while cells < g.p:
+        cell = _split_class(colors)
+        colors, cells = _individualise(nbrs, colors, cells, cell, colors.index(cell))
+    return colors
+
+
 def _search(
-    p: int, adj: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[list[int]]]:
+    p: int, adj: tuple[int, ...], target: int | None = None
+) -> tuple[tuple[int, ...] | None, list[list[int]]]:
     """Labelling (vertex -> position) minimizing the packed adjacency
-    bits, and the automorphisms (v -> image) the search found at ties."""
+    bits, and the automorphisms (v -> image) the search found at ties.
+
+    Given ``target``, packed bits, the search stops at the first leaf
+    that packs to them and returns that leaf's labelling instead, or
+    None when no leaf of the tree does."""
     autos: list[list[int]] = []
     q2 = sum(row.bit_count() for row in adj)
     if q2 == 0 or q2 == p * (p - 1):
-        return tuple(range(p)), autos  # empty or complete: every labelling ties
+        label = tuple(range(p))  # empty or complete: every labelling ties
+        if target is None or _pack_bits(p, adj, list(label)) == target:
+            return label, autos
+        return None, autos
 
     # built per search, not cached: a cache would keep one list per graph
     nbrs = [bits(row) for row in adj]
     best_bits: int | None = None
     best_label: tuple[int, ...] = ()
     best_path: list[int] = []
+    hit: tuple[int, ...] | None = None  # the leaf that packs to target
     path: list[int] = []  # vertices individualised on the way to this node
     onward = p  # returned when the search goes on from the caller
 
     def leaf(colors: list[int]) -> int:
         """Take a leaf; return the depth whose node the search resumes at."""
-        nonlocal best_bits, best_label, best_path
+        nonlocal best_bits, best_label, best_path, hit
+        packed = None
+        if target is not None:
+            packed = _pack_bits(p, adj, colors)
+            if packed == target:
+                hit = tuple(colors)
+                return -1  # above the root: the search stops
         if not best_label:
-            best_label, best_path = tuple(colors), path[:]
+            best_label, best_path, best_bits = tuple(colors), path[:], packed
             return onward
         if best_bits is None:
             best_bits = _pack_bits(p, adj, list(best_label))
-        packed = _pack_bits(p, adj, colors)
+        if packed is None:
+            packed = _pack_bits(p, adj, colors)
         if packed < best_bits:
             best_bits, best_label, best_path = packed, tuple(colors), path[:]
             return onward
@@ -156,18 +223,13 @@ def _search(
         if cells == p:
             return leaf(colors)
         depth = len(path)
-        size = [0] * p
-        for c in colors:
-            size[c] += 1
-        target = 0
-        while size[target] == 1:
-            target += 1
+        cell = _split_class(colors)
         # orbits of the kept automorphisms that fix the path, each
         # rooted at its least vertex; built once the first one is kept
         orbit: list[int] = []
         merged = 0
         for w in range(p):
-            if colors[w] != target:
+            if colors[w] != cell:
                 continue
             if merged < len(autos):
                 for g in autos[merged:]:
@@ -184,20 +246,19 @@ def _search(
             if orbit and orbit[w] != w:
                 continue  # an earlier member's subtree maps onto w's
             path.append(w)
-            # w keeps the class's colour, its other members take the next
-            child = [
-                c if c < target or u == w else c + 1 for u, c in enumerate(colors)
-            ]
-            resume = node(*_refine(nbrs, child, cells + 1))
+            resume = node(*_individualise(nbrs, colors, cells, cell, w))
             path.pop()
             if resume < depth:
                 return resume
         return onward
 
-    deg = [row.bit_count() for row in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(deg)))}
-    node(*_refine(nbrs, [rank[d] for d in deg], len(rank)))
-    return best_label, autos
+    node(*_root(nbrs, adj))
+    return (best_label if target is None else hit), autos
+
+
+def _head(g: Graph) -> bytes:
+    """The order and size that open a certificate."""
+    return bytes([g.p]) + g.q.to_bytes(2, "big")
 
 
 def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
@@ -205,7 +266,18 @@ def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
     packed = _pack_bits(p, g.adj, list(label))
     nbits = p * (p - 1) // 2
     body = packed.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    return CanonicalForm(bytes([p]) + g.q.to_bytes(2, "big") + body)
+    return CanonicalForm(_head(g) + body)
+
+
+def _has_certificate(g: Graph, cf: CanonicalForm) -> bool:
+    """Whether ``g`` has the certificate ``cf``: the same order and size,
+    then one search of ``g`` that stops at the first leaf packing to the
+    certificate's bits."""
+    cert = cf.certificate
+    return (
+        cert[:3] == _head(g)
+        and _search(g.p, g.adj, int.from_bytes(cert[3:], "big"))[0] is not None
+    )
 
 
 def _labelled_search(
@@ -227,8 +299,9 @@ def _labelled_search(
     return _certificate(g, label), label, tuple(gens)
 
 
-# for the CLI and library callers: a stream of 958 query graphs fills 69
-# entries, a cold classify 3
+# for library callers: a stream of 958 query graphs and a cold classify
+# fill no entry, since isomorphism tests label nothing canonically and
+# classify labels only complements of other classes than their own
 @lru_cache(maxsize=1 << 10)
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation (old vertex -> canonical position) realizing the certificate."""
@@ -240,10 +313,20 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
+    """Whether some relabelling of ``b`` is ``a``.
+
+    Neither graph is labelled canonically.  The first leaf of a's tree
+    is packed, and b's tree is searched until a leaf packs to the same
+    bits.  Such a leaf relabels b onto a's leaf, so a "yes" is sound.  An
+    isomorphism from a to b carries a's tree onto b's, leaf for leaf with
+    equal bits, and b's search meets every bit string of its tree, so a
+    "no" is sound too (see the module docstring).
+    """
     # the sorted degree rows hold p (their length) and q (half their sum)
     if a.degree_sequence() != b.degree_sequence():
         return False
-    return canonical_form(a) == canonical_form(b)
+    target = _pack_bits(a.p, a.adj, _first_leaf(a))
+    return _search(b.p, b.adj, target)[0] is not None
 
 
 def is_self_complementary(g: Graph) -> bool:

@@ -231,6 +231,18 @@ def test_order_8_scans_read_only_the_dual_pairs_they_need(monkeypatch):
     assert not {(8, 15), (8, 16)} & set(cells)
 
 
+def test_complements_not_flagged_self_complementary_are_labelled(monkeypatch):
+    # a winner's complement joins the solutions by its canonical graph
+    # unless the catalog has the winner self-complementary; with no flag
+    # set, each complement is labelled and lands on a catalog class
+    labels = [e.label for e in solve_question().solutions]
+    entry = classify._entry
+    monkeypatch.setattr(
+        classify, "_entry", lambda g: entry(g)._replace(self_complementary=False)
+    )
+    assert [e.label for e in solve_question().solutions] == labels
+
+
 def test_validate_report_rejects_tampering():
     report = solve_question()
     broken = report._replace(solutions=report.solutions[:2])
@@ -285,3 +297,14 @@ def test_solutions_from_the_self_complementary_side():
     solutions = {e.certificate for e in solve_question().solutions}
     assert len(polyhedral) == 3 and set(map(pc.canonical_form, polyhedral)) == solutions
     assert sum(map(pc.is_self_dual, polyhedral)) == 2
+
+
+def test_self_complementary_census_classes():
+    # is_self_complementary over whole census cells: exactly the three
+    # solutions at (8, 14), the only size there a complement can share,
+    # and none at (9, 18), the one such cell of order 9
+    solutions = {e.graph for e in solve_question().solutions}
+    eight = pc.enumerate_polyhedra(8, 14)
+    assert {g for g in eight if pc.is_self_complementary(g)} == solutions
+    nine = pc.enumerate_polyhedra(9, 18)
+    assert len(nine) == 768 and not any(map(pc.is_self_complementary, nine))

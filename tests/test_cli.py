@@ -190,14 +190,23 @@ print(len(searches))
 def test_classify_bytes_on_one_and_two_cpus(tmp_path):
     # with two CPUs a forked child proves the order-9 bound while the
     # process sweeps order 8, and the output is byte for byte that of one
-    # CPU, which forks nothing; no child outlives the call
+    # CPU, which forks nothing; no child outlives the call, and no child
+    # forks: the bound's child builds the order-9 split level alone
     script = """
 import os
 import sys
 from polycensus import enumeration
 enumeration._CPUS = int(sys.argv[2])
 fork, forks = os.fork, []
-os.fork = lambda: forks.append(1) or fork()
+me = os.getpid()
+
+def spy():
+    if os.getpid() != me:
+        print("a forked child forked", file=sys.stderr, flush=True)
+    forks.append(1)
+    return fork()
+
+os.fork = spy
 import polycensus.cli
 code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
 try:
@@ -213,12 +222,15 @@ print(code, len(forks), built, left, file=sys.stderr)
     for cpus in (1, 2):
         report = tmp_path / f"report{cpus}.json"
         done = run_python(["-c", script, str(report), str(cpus)])
+        assert "a forked child forked" not in done.stderr
         code, forks, built, left = done.stderr.split()
         assert (code, left) == ("0", "False")
         runs[cpus] = (int(forks), int(built), done.stdout, report.read_bytes())
     one, two = runs[1], runs[2]
     assert one[:2] == (0, 6)  # orders 4..9, all in this process
-    assert two[0] >= 1 and two[1] == 5  # order 9 only in the child
+    # the bound's child, and the queue children of the order-8 sweep;
+    # order 9 only in the bound's child
+    assert two[:2] == (8, 5)
     assert one[2:] == two[2:]
     assert "agree on the solution certificates" in one[2]
     assert hashlib.sha256(one[3]).hexdigest() == REPORT_SHA256

@@ -9,6 +9,7 @@ import polycensus as pc
 from polycensus import NotPolyhedralError, cli, dual, embed, is_polyhedral, is_self_dual
 from polycensus import planarity
 from polycensus.duality import _three_connected_by_faces
+from polycensus.enumeration import _dual_pairs
 from tests.oracles import (
     brute_3_connected,
     cycle,
@@ -192,6 +193,20 @@ def test_self_dual_split_at_8_14():
     self_dual = [g for g in graphs if is_self_dual(g)]
     assert len(self_dual) == 16
     assert len(graphs) - len(self_dual) == 26
+
+
+def test_self_dual_counts_on_the_line():
+    # the published counts of self-dual polyhedra with p vertices, all on
+    # q = 2p - 2; is_self_dual, which searches each class against its
+    # face graph, agrees class by class with the census, which compares
+    # the certificates of the two
+    counts = []
+    for p in range(4, 10):
+        pairs = _dual_pairs(p, 2 * p - 2)
+        flags = [is_self_dual(g) for g, *_ in pairs]
+        assert flags == [cert == dual_cert for _, cert, dual_cert, _ in pairs]
+        counts.append(sum(flags))
+    assert counts == [1, 1, 2, 6, 16, 50]
 
 
 def _glued_along_an_edge(s, t):

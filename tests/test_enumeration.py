@@ -482,6 +482,17 @@ def _forks(monkeypatch):
     return forks
 
 
+def test_a_forked_child_counts_as_one_cpu(monkeypatch):
+    # so a work that builds a level builds it alone, and no process forks
+    # more children than the CPUs the caller's children already hold
+    monkeypatch.setattr(enumeration, "_CPUS", 2)
+    forks = _forks(monkeypatch)
+    with enumeration._forked([enumeration._may_fork]) as sent:
+        here = enumeration._may_fork()
+    assert here and sent == [False] and len(forks) == 1
+    assert enumeration._CPUS == 2
+
+
 def test_split_census_equals_the_serial_one(monkeypatch):
     # each chunk of parents files its children first-wins and the chunks
     # merge in index order, whichever process ran them, so every class

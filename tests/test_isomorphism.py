@@ -13,7 +13,12 @@ from collections import defaultdict
 
 import polycensus as pc
 from polycensus import canonical_form
-from polycensus.isomorphism import canonical_labeling
+from polycensus.isomorphism import (
+    _certificate,
+    _has_certificate,
+    _search,
+    canonical_labeling,
+)
 from tests.oracles import (
     GRAPH_CLASS_COUNTS,
     all_graphs_up_to_iso,
@@ -226,3 +231,124 @@ def test_symmetric_graphs_label_fast_and_invariantly():
         assert len(forms) == 1, name
     for name, text in PINNED_CERTIFICATES.items():
         assert canonical_form(SYMMETRIC[name]).hex == text, name
+
+
+def paley9():
+    # GF(9) as Z3[i] with i^2 = -1, a + bi numbered 3a + b; x ~ y when
+    # x - y is a nonzero square
+    def mul(x, y):
+        (a, b), (c, d) = divmod(x, 3), divmod(y, 3)
+        return (a * c - b * d) % 3 * 3 + (a * d + b * c) % 3
+
+    def sub(x, y):
+        (a, b), (c, d) = divmod(x, 3), divmod(y, 3)
+        return (a - c) % 3 * 3 + (b - d) % 3
+
+    squares = {mul(x, x) for x in range(1, 9)}
+    return joined_when(9, lambda u, v: sub(u, v) in squares)
+
+
+def four_copies(h):
+    """Copies 0 and 3 of ``h`` and copies 1 and 2 of its complement, each
+    copy joined to the next: self-complementary for every ``h``, since
+    the complement is the same with the copies in the order 1, 3, 0, 2."""
+    n = h.p
+    rows = [h, h.complement(), h.complement(), h]
+    edges = [(i * n + u, i * n + v) for i, c in enumerate(rows) for u, v in c.edges()]
+    edges += [
+        (i * n + u, (i + 1) * n + v) for i in range(3) for u in range(n) for v in range(n)
+    ]
+    return pc.Graph.from_edges(4 * n, edges)
+
+
+def timed(call, *args):
+    start = time.perf_counter()
+    out = call(*args)
+    assert time.perf_counter() - start < 1.0, args
+    return out
+
+
+def test_symmetric_graphs_are_isomorphic_to_their_relabellings():
+    # b's search stops at its first leaf with the bits of a's first leaf;
+    # on these, the pruning must still reach it quickly
+    rng = random.Random(61)
+    for name, g in SYMMETRIC.items():
+        for _ in range(3):
+            assert timed(pc.are_isomorphic, g, shuffled(g, rng)), name
+            assert timed(pc.are_isomorphic, shuffled(g, rng), g), name
+
+
+def test_regular_graphs_without_symmetry_match_past_the_first_leaf():
+    # refinement splits no regular graph, and with no automorphism to
+    # carry one vertex onto another, b's first leaf seldom has the bits
+    # of a's: the search must go on to the leaf that does
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    frucht = pc.Graph.from_edges(
+        12, [*cycle(12).edges(), *((i, (i + s) % 12) for i, s in enumerate(lcf))]
+    )
+    assert frucht.q == 18
+    rng = random.Random(12)
+    for g in (frucht, frucht.complement()):
+        for _ in range(10):
+            assert timed(pc.are_isomorphic, g, shuffled(g, rng))
+
+
+def test_shrikhande_is_not_the_rook_graph():
+    # both strongly regular (16, 6, 2, 2), and refinement splits neither
+    a, b = SYMMETRIC["Shrikhande"], SYMMETRIC["4x4 rook"]
+    assert not timed(pc.are_isomorphic, a, b)
+    assert not timed(pc.are_isomorphic, b, a)
+
+
+def test_wheels_are_self_dual_under_relabelling():
+    rng = random.Random(15)
+    for rim in range(3, 16):
+        for _ in range(3):
+            assert timed(pc.is_self_dual, shuffled(wheel(rim), rng)), rim
+
+
+def test_self_complementary_families():
+    rng = random.Random(13)
+    graphs = {
+        "Paley(5)": cycle(5),
+        "Paley(9)": paley9(),
+        "Paley(13)": SYMMETRIC["Paley(13)"],
+        "four copies of P3": four_copies(path(3)),
+        "four copies of the paw": four_copies(
+            pc.Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        ),
+    }
+    assert [g.p for g in graphs.values()] == [5, 9, 13, 12, 16]
+    for name, g in graphs.items():
+        for h in (g, shuffled(g, rng)):
+            assert timed(pc.is_self_complementary, h), name
+    # 6-regular on 13 vertices like Paley(13), but its complement steps
+    # by 4, 5 and 6, and no unit of Z13 maps {1, 2, 3} onto those up to
+    # sign, which for a prime order is what isomorphism needs (Turner)
+    g = joined_when(13, lambda u, v: (u - v) % 13 in {1, 2, 3, 10, 11, 12})
+    assert not timed(pc.is_self_complementary, g)
+
+
+def test_targeted_search_meets_the_certificate():
+    # a search targeted at a certificate's bits stops at a leaf with that
+    # certificate, though not always the canonical leaf, and finds none
+    # in a graph of another class
+    rng = random.Random(33)
+    graphs = list(SYMMETRIC.values()) + [
+        random_graph(p, rng.randint(p, p * (p - 1) // 2 - p), rng)
+        for p in rng.choices(range(8, 12), k=40)
+    ]
+    for g in graphs:
+        cf = canonical_form(g)
+        target = int.from_bytes(cf.certificate[3:], "big")
+        h = shuffled(g, rng)
+        label = timed(_search, h.p, h.adj, target)[0]
+        assert _certificate(h, label) == cf
+        assert _has_certificate(h, cf)
+    shrikhande, rook = SYMMETRIC["Shrikhande"], SYMMETRIC["4x4 rook"]
+    cf = canonical_form(shrikhande)
+    target = int.from_bytes(cf.certificate[3:], "big")
+    assert timed(_search, 16, rook.adj, target)[0] is None
+    assert not _has_certificate(rook, cf)
+    # another size is told by the certificate's head alone
+    assert not _has_certificate(cycle(5), canonical_form(path(5)))

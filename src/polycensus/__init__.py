@@ -42,13 +42,7 @@ from .enumeration import (
     triangulations,
 )
 from .graph6 import Graph6Error, decode, encode
-from .graphs import (
-    MAX_VERTICES,
-    DegreeSequence,
-    Graph,
-    complete,
-    complete_multipartite,
-)
+from .graphs import MAX_VERTICES, DegreeSequence, Graph, complete
 from .isomorphism import (
     CanonicalForm,
     are_isomorphic,

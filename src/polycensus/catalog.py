@@ -41,7 +41,7 @@ from .duality import is_polyhedral
 from .enumeration import _dual_pairs, enumerate_polyhedra, order_bounds
 from .graph6 import encode
 from .graphs import DegreeSequence, Graph
-from .isomorphism import CanonicalForm, _has_certificate
+from .isomorphism import CanonicalForm, is_self_complementary
 
 PUBLISHED_NAMES = ("g_1408.12", "g_1408.13", "g_1408.39")
 
@@ -123,12 +123,9 @@ def order_census(q: int) -> tuple[CatalogEntry, ...]:
                 and is_polyhedral(g.complement())
             )
             # a polyhedral graph isomorphic to its complement has a
-            # polyhedral complement, so only those few are searched, each
-            # until a leaf packs to the class's certificate, and only when
-            # the complement has the same size
-            self_complementary = complement_polyhedral and _has_certificate(
-                g.complement(), cert
-            )
+            # polyhedral complement, so only those few are tested: g's
+            # first path, then its complement's search for that leaf's bits
+            self_complementary = complement_polyhedral and is_self_complementary(g)
             entries.append(
                 CatalogEntry(
                     label=label,

@@ -1,13 +1,11 @@
 """Immutable simple graphs on at most 16 vertices, stored as adjacency bit rows.
 
 Also the low-level walk the other modules share, ``bits`` over a row,
-and the two named graphs the package and its README use: ``complete``
-and ``complete_multipartite``.
+and the one named graph the package uses, ``complete``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 16
@@ -226,21 +224,9 @@ class Graph(_Value):
 
 
 # ====== Named constructions ======
-# K_p, whose K4 starts the census, and the complete multipartite graphs,
-# such as the octahedron K2,2,2; tests build the rest from edge lists.
+# K_p, whose K4 starts the census; tests build the rest from edge lists.
 
 
 def complete(p: int) -> Graph:
     full = (1 << p) - 1
     return Graph(p, tuple(full ^ (1 << v) for v in range(p)))
-
-
-def complete_multipartite(*sizes: int) -> Graph:
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be positive")
-    p = sum(sizes)
-    part = []
-    for i, s in enumerate(sizes):
-        part += [i] * s
-    edges = [(u, v) for u, v in combinations(range(p), 2) if part[u] != part[v]]
-    return Graph.from_edges(p, edges)

@@ -52,14 +52,17 @@ structure alone, so an isomorphism from a to b carries a's tree onto
 b's, each leaf onto one with equal bits; and a leaf of b with the bits
 of a leaf of a relabels b onto a.  So a and b are isomorphic exactly
 when b's search targeted at the bits of one leaf of a, its first, finds
-a leaf.  A "yes" costs a's first path and b's search up to the match,
-where two certificates cost two full searches.
+a leaf.  That first leaf comes from the same search with a negative
+target, which every leaf matches: it stops where its first path ends,
+having individualised the first member of each class on the way.  A
+"yes" costs a's first path and b's search up to the match, where two
+certificates cost two full searches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, bits
 
@@ -110,7 +113,7 @@ def _refine(
             return colors, cells
 
 
-def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
+def _pack_bits(p: int, adj: tuple[int, ...], position: Sequence[int]) -> int:
     """Upper-triangle adjacency bits (row-major) under the given labelling."""
     inv = [0] * p
     for v, c in enumerate(position):
@@ -123,44 +126,6 @@ def _pack_bits(p: int, adj: tuple[int, ...], position: list[int]) -> int:
     return out
 
 
-def _root(nbrs: list[tuple[int, ...]], adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """The root of the tree: degree ranks, refined."""
-    deg = [row.bit_count() for row in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(deg)))}
-    return _refine(nbrs, [rank[d] for d in deg], len(rank))
-
-
-def _split_class(colors: list[int]) -> int:
-    """The first colour held by two or more vertices."""
-    size = [0] * len(colors)
-    for c in colors:
-        size[c] += 1
-    cell = 0
-    while size[cell] == 1:
-        cell += 1
-    return cell
-
-
-def _individualise(
-    nbrs: list[tuple[int, ...]], colors: list[int], cells: int, cell: int, w: int
-) -> tuple[list[int], int]:
-    """The child that individualises w, a member of class ``cell``: w
-    keeps the class's colour, its other members take the next one."""
-    child = [c if c < cell or u == w else c + 1 for u, c in enumerate(colors)]
-    return _refine(nbrs, child, cells + 1)
-
-
-def _first_leaf(g: Graph) -> list[int]:
-    """The first leaf of the tree of ``g``, the one every search meets
-    first: each node individualises the first member of its class."""
-    nbrs = [bits(row) for row in g.adj]
-    colors, cells = _root(nbrs, g.adj)
-    while cells < g.p:
-        cell = _split_class(colors)
-        colors, cells = _individualise(nbrs, colors, cells, cell, colors.index(cell))
-    return colors
-
-
 def _search(
     p: int, adj: tuple[int, ...], target: int | None = None
 ) -> tuple[tuple[int, ...] | None, list[list[int]]]:
@@ -169,12 +134,14 @@ def _search(
 
     Given ``target``, packed bits, the search stops at the first leaf
     that packs to them and returns that leaf's labelling instead, or
-    None when no leaf of the tree does."""
+    None when no leaf of the tree does.  Packed bits are never negative,
+    so a negative target matches every leaf: the search returns its
+    first leaf, unpacked, and keeps no automorphism."""
     autos: list[list[int]] = []
     q2 = sum(row.bit_count() for row in adj)
     if q2 == 0 or q2 == p * (p - 1):
         label = tuple(range(p))  # empty or complete: every labelling ties
-        if target is None or _pack_bits(p, adj, list(label)) == target:
+        if target is None or target < 0 or _pack_bits(p, adj, label) == target:
             return label, autos
         return None, autos
 
@@ -183,7 +150,7 @@ def _search(
     best_bits: int | None = None
     best_label: tuple[int, ...] = ()
     best_path: list[int] = []
-    hit: tuple[int, ...] | None = None  # the leaf that packs to target
+    hit: tuple[int, ...] | None = None  # the leaf that matches the target
     path: list[int] = []  # vertices individualised on the way to this node
     onward = p  # returned when the search goes on from the caller
 
@@ -191,16 +158,16 @@ def _search(
         """Take a leaf; return the depth whose node the search resumes at."""
         nonlocal best_bits, best_label, best_path, hit
         packed = None
-        if target is not None:
-            packed = _pack_bits(p, adj, colors)
-            if packed == target:
-                hit = tuple(colors)
-                return -1  # above the root: the search stops
+        if target is not None and (
+            target < 0 or (packed := _pack_bits(p, adj, colors)) == target
+        ):
+            hit = tuple(colors)
+            return -1  # above the root: the search stops
         if not best_label:
             best_label, best_path, best_bits = tuple(colors), path[:], packed
             return onward
         if best_bits is None:
-            best_bits = _pack_bits(p, adj, list(best_label))
+            best_bits = _pack_bits(p, adj, best_label)
         if packed is None:
             packed = _pack_bits(p, adj, colors)
         if packed < best_bits:
@@ -223,7 +190,12 @@ def _search(
         if cells == p:
             return leaf(colors)
         depth = len(path)
-        cell = _split_class(colors)
+        size = [0] * p
+        for c in colors:
+            size[c] += 1
+        cell = 0
+        while size[cell] == 1:
+            cell += 1
         # orbits of the kept automorphisms that fix the path, each
         # rooted at its least vertex; built once the first one is kept
         orbit: list[int] = []
@@ -246,38 +218,27 @@ def _search(
             if orbit and orbit[w] != w:
                 continue  # an earlier member's subtree maps onto w's
             path.append(w)
-            resume = node(*_individualise(nbrs, colors, cells, cell, w))
+            # w keeps the class's colour, its other members take the next
+            child = [c if c < cell or u == w else c + 1 for u, c in enumerate(colors)]
+            resume = node(*_refine(nbrs, child, cells + 1))
             path.pop()
             if resume < depth:
                 return resume
         return onward
 
-    node(*_root(nbrs, adj))
+    deg = [row.bit_count() for row in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(deg)))}
+    node(*_refine(nbrs, [rank[d] for d in deg], len(rank)))
     return (best_label if target is None else hit), autos
 
 
-def _head(g: Graph) -> bytes:
-    """The order and size that open a certificate."""
-    return bytes([g.p]) + g.q.to_bytes(2, "big")
-
-
 def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
+    """The order, the size and the packed bits under ``label``."""
     p = g.p
-    packed = _pack_bits(p, g.adj, list(label))
+    packed = _pack_bits(p, g.adj, label)
     nbits = p * (p - 1) // 2
     body = packed.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    return CanonicalForm(_head(g) + body)
-
-
-def _has_certificate(g: Graph, cf: CanonicalForm) -> bool:
-    """Whether ``g`` has the certificate ``cf``: the same order and size,
-    then one search of ``g`` that stops at the first leaf packing to the
-    certificate's bits."""
-    cert = cf.certificate
-    return (
-        cert[:3] == _head(g)
-        and _search(g.p, g.adj, int.from_bytes(cert[3:], "big"))[0] is not None
-    )
+    return CanonicalForm(bytes([p]) + g.q.to_bytes(2, "big") + body)
 
 
 def _labelled_search(
@@ -315,9 +276,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def are_isomorphic(a: Graph, b: Graph) -> bool:
     """Whether some relabelling of ``b`` is ``a``.
 
-    Neither graph is labelled canonically.  The first leaf of a's tree
-    is packed, and b's tree is searched until a leaf packs to the same
-    bits.  Such a leaf relabels b onto a's leaf, so a "yes" is sound.  An
+    Neither graph is labelled canonically.  The first leaf of a's tree,
+    from a search whose negative target every leaf matches, is packed,
+    and b's tree is searched until a leaf packs to the same bits.  Such
+    a leaf relabels b onto a's leaf, so a "yes" is sound.  An
     isomorphism from a to b carries a's tree onto b's, leaf for leaf with
     equal bits, and b's search meets every bit string of its tree, so a
     "no" is sound too (see the module docstring).
@@ -325,7 +287,7 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     # the sorted degree rows hold p (their length) and q (half their sum)
     if a.degree_sequence() != b.degree_sequence():
         return False
-    target = _pack_bits(a.p, a.adj, _first_leaf(a))
+    target = _pack_bits(a.p, a.adj, _search(a.p, a.adj, -1)[0])
     return _search(b.p, b.adj, target)[0] is not None
 
 

@@ -47,6 +47,14 @@ def wheel(rim: int) -> Graph:
     return Graph.from_edges(rim + 1, [*cycle(rim).edges(), *spokes])
 
 
+def complete_multipartite(*sizes: int) -> Graph:
+    """Every vertex joined to every vertex of the other parts, such as the
+    octahedron K2,2,2."""
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    pairs = itertools.combinations(range(len(part)), 2)
+    return Graph.from_edges(len(part), [(u, v) for u, v in pairs if part[u] != part[v]])
+
+
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:
     """The neighbours of v in ``g``, in ascending order."""
     return tuple(u for u in range(g.p) if g.has_edge(v, u))
@@ -138,6 +146,38 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
         ):
             return True
     return False
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by backtracking: the vertices in breadth-first order, each
+    sent to an unused vertex of its degree whose adjacency to every vertex
+    placed before it matches."""
+    nb = neighbor_sets(g)
+    order: list[int] = []
+    for root in range(g.p):
+        if root in order:
+            continue
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            order += sorted(nb[order[i]] - set(order))
+            i += 1
+    image: list[int] = []
+
+    def extend(i: int) -> int:
+        if i == g.p:
+            return 1
+        v, total = order[i], 0
+        for u in range(g.p):
+            if u in image or len(nb[u]) != len(nb[v]):
+                continue
+            if all((w in nb[v]) == (x in nb[u]) for w, x in zip(order, image)):
+                image.append(u)
+                total += extend(i + 1)
+                image.pop()
+        return total
+
+    return extend(0)
 
 
 def brute_certificate(g: Graph) -> tuple[int, ...]:
@@ -614,6 +654,21 @@ def _plain_search(p: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     rec(_plain_refine(nbrs, [0] * p), 0)
     assert best_label is not None
     return best_label
+
+
+def plain_first_leaf(g: Graph) -> tuple[int, ...]:
+    """The leaf the plain search reaches first: from one colour class,
+    refine, then individualise the first vertex of the first class of
+    two or more and refine again, until every vertex has its own colour.
+
+    A search with a negative target must stop at this leaf.
+    """
+    nbrs = [neighbors(g, v) for v in range(g.p)]
+    colors = _plain_refine(nbrs, [0] * g.p)
+    while len(set(colors)) < g.p:
+        w = colors.index(min(c for c in colors if colors.count(c) > 1))
+        colors = _plain_refine(nbrs, [c * 2 + (v != w) for v, c in enumerate(colors)])
+    return tuple(colors)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ import polycensus as pc
 from polycensus import cli, planarity
 from polycensus.cli import main
 from tests.conftest import run_python
-from tests.oracles import glued_graph, random_graph, shuffled, wheel
+from tests.oracles import (
+    complete_multipartite,
+    glued_graph,
+    random_graph,
+    shuffled,
+    wheel,
+)
 
 
 def run(capsys, *argv):
@@ -167,23 +173,29 @@ from polycensus import enumeration, isomorphism, planarity
 enumeration._CPUS = 1  # a child's searches go uncounted
 embed_block, embeds = planarity._embed_block, []
 planarity._embed_block = lambda vs, adj: embeds.append(vs) or embed_block(vs, adj)
-search, searches = isomorphism._search, []
-isomorphism._search = lambda p, *rest: searches.append(p) or search(p, *rest)
+search, searches, walks = isomorphism._search, [], []
+def spy(p, adj, target=None):
+    # a negative target only walks the first path, to the first leaf
+    (walks if target is not None and target < 0 else searches).append(p)
+    return search(p, adj, target)
+isomorphism._search = spy
 import polycensus.cli
 seen = [set(sys.modules) - before]
 code = polycensus.cli.main(["classify", "--no-prune", "--report", sys.argv[1]])
 seen.append(set(sys.modules) - before)
 slow = {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent"}
 print([sorted(slow & s) for s in seen], code, len(embeds))
-print(len(searches))
+print(len(searches), len(walks))
 """
     report = tmp_path / "report.json"
     out = run_python(["-c", script, str(report)]).stdout
     *_, verdict, searches = out.splitlines()
     assert verdict == "[[], []] 0 300"
     # 633 when the catalog searched each class, 520 when the order-8 scan
-    # searched each winner, 517 when classify labelled every size through 14
-    assert int(searches) <= 501
+    # searched each winner, 517 when classify labelled every size through
+    # 14; the three polyhedral complements are tested by one first path
+    # of their class and one targeted search each
+    assert searches.split() == ["501", "3"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
 
 
@@ -331,7 +343,7 @@ def test_check_polyhedron_with_more_faces_than_a_graph_holds(capsys):
 def test_check_embeds_each_input_once(capsys, monkeypatch):
     # the one embedding answers planarity, the face test 3-connectivity,
     # and its faces give the dual for the self-dual test
-    cube = pc.encode(pc.dual(pc.complete_multipartite(2, 2, 2)))
+    cube = pc.encode(pc.dual(complete_multipartite(2, 2, 2)))
     calls = []
     embed_block = planarity._embed_block
     three = pc.is_3_connected
@@ -375,7 +387,7 @@ def test_check_embeds_each_input_once(capsys, monkeypatch):
     k4s = pc.Graph.from_edges(
         7, [(a, b) for k in (0, 3) for a in range(k, k + 4) for b in range(a + 1, k + 4)]
     )  # two K4s sharing vertex 3
-    k33 = pc.complete_multipartite(3, 3)
+    k33 = complete_multipartite(3, 3)
     hung = pc.Graph.from_edges(8, [*k33.edges(), (0, 6), (6, 7), (7, 0)])
     for g, planar in ((k4s, "true"), (hung, "false")):
         pieces.clear()

@@ -4,6 +4,7 @@ import polycensus as pc
 from polycensus.connectivity import _connected_within
 from tests.oracles import (
     brute_3_connected,
+    complete_multipartite,
     cycle,
     empty_graph,
     neighbor_sets,
@@ -37,7 +38,7 @@ def test_is_connected_against_set_bfs(universe):
 def test_3_connected_examples():
     assert pc.is_3_connected(pc.complete(4))
     assert pc.is_3_connected(wheel(6))
-    assert pc.is_3_connected(pc.complete_multipartite(3, 3))
+    assert pc.is_3_connected(complete_multipartite(3, 3))
     assert not pc.is_3_connected(cycle(5))
     assert not pc.is_3_connected(pc.complete(3))  # below order 4 by definition
     # two triangles glued along an edge: a 2-cut
@@ -58,7 +59,7 @@ def test_3_connected_examples():
         "2K4": (pc.Graph.from_edges(8, k4 + shifted), False),
         "K4 and K5 sharing a vertex": (pc.Graph.from_edges(8, k4 + k5), False),
         "two K4s joined by an edge": (pc.Graph.from_edges(8, k4 + shifted + [(3, 4)]), False),
-        "K4,4": (pc.complete_multipartite(4, 4), True),
+        "K4,4": (complete_multipartite(4, 4), True),
     }
     for name, (g, expected) in cases.items():
         assert pc.is_3_connected(g) == brute_3_connected(g) == expected, name

@@ -12,6 +12,7 @@ from polycensus.duality import _three_connected_by_faces
 from polycensus.enumeration import _dual_pairs
 from tests.oracles import (
     brute_3_connected,
+    complete_multipartite,
     cycle,
     icosahedron,
     kuratowski_oracle,
@@ -41,7 +42,7 @@ def cuboctahedron():
 def test_is_polyhedral():
     assert is_polyhedral(pc.complete(4))
     assert is_polyhedral(cube())
-    assert is_polyhedral(pc.complete_multipartite(2, 2, 2))
+    assert is_polyhedral(complete_multipartite(2, 2, 2))
     assert not is_polyhedral(cycle(5))  # planar, not 3-connected
     assert not is_polyhedral(pc.complete(5))  # 3-connected, not planar
     assert not is_polyhedral(pc.complete(3))
@@ -53,7 +54,7 @@ def test_dual_parameters():
     d = dual(g)
     assert d.p == g.q - g.p + 2
     assert d.q == g.q
-    assert pc.are_isomorphic(d, pc.complete_multipartite(2, 2, 2))
+    assert pc.are_isomorphic(d, complete_multipartite(2, 2, 2))
 
 
 def test_dual_of_dual():
@@ -65,7 +66,7 @@ def test_dual_rejects_non_polyhedra():
     with pytest.raises(NotPolyhedralError):
         dual(cycle(6))
     with pytest.raises(NotPolyhedralError):
-        dual(pc.complete_multipartite(3, 3))
+        dual(complete_multipartite(3, 3))
     # minimum degree 3 but a cut vertex: two K4s sharing vertex 0
     second = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     bowtie = pc.Graph.from_edges(7, [*pc.complete(4).edges(), *second])
@@ -75,7 +76,7 @@ def test_dual_rejects_non_polyhedra():
     assert not is_polyhedral(bowtie)
     # 3-connected and non-planar: K5, K6 and K4,4 exceed 3p - 6 edges,
     # the Petersen graph does not and fails inside the embedder
-    for g in (pc.complete(5), pc.complete(6), pc.complete_multipartite(4, 4), petersen()):
+    for g in (pc.complete(5), pc.complete(6), complete_multipartite(4, 4), petersen()):
         assert pc.is_3_connected(g)
         with pytest.raises(NotPolyhedralError):
             dual(g)
@@ -101,7 +102,7 @@ def test_dual_embeds_once(monkeypatch):
         if name.startswith("polycensus") and getattr(module, "is_3_connected", None) is three:
             monkeypatch.setattr(module, "is_3_connected", counting_three)
     g = cube()
-    assert pc.are_isomorphic(dual(g), pc.complete_multipartite(2, 2, 2))
+    assert pc.are_isomorphic(dual(g), complete_multipartite(2, 2, 2))
     assert calls == [list(range(8))]
     assert tests == []
 
@@ -146,7 +147,7 @@ def test_self_dual_examples():
     for rim in (4, 5, 6):
         assert is_self_dual(wheel(rim))
     assert not is_self_dual(cube())
-    assert not is_self_dual(pc.complete_multipartite(2, 2, 2))
+    assert not is_self_dual(complete_multipartite(2, 2, 2))
 
 
 def test_self_dual_past_the_order_limit():
@@ -158,7 +159,7 @@ def test_self_dual_past_the_order_limit():
     assert not is_self_dual(ico)
     # a non-polyhedral input is still rejected, whatever its face count
     with pytest.raises(NotPolyhedralError):
-        is_self_dual(pc.complete_multipartite(3, 3))
+        is_self_dual(complete_multipartite(3, 3))
     with pytest.raises(NotPolyhedralError):
         is_self_dual(cycle(6))
 
@@ -166,7 +167,7 @@ def test_self_dual_past_the_order_limit():
 def test_dual_pairs_in_census():
     # the octahedron and the cube are each other's duals; they sit in
     # different orders of the same size class
-    octa = pc.complete_multipartite(2, 2, 2)
+    octa = complete_multipartite(2, 2, 2)
     assert pc.are_isomorphic(dual(octa), cube())
     assert pc.canonical_form(octa) in {
         pc.canonical_form(g) for g in pc.enumerate_polyhedra(6, 12)
@@ -237,7 +238,7 @@ def test_face_test_against_brute_force(universe):
     small = [t for p in (4, 5, 6, 7) for t in pc.triangulations(p)]
     graphs += [_glued_along_an_edge(s, t) for s in small for t in small]
     graphs += [cycle(n) for n in range(3, 17)]
-    graphs += [pc.complete_multipartite(2, n) for n in range(2, 15)]
+    graphs += [complete_multipartite(2, n) for n in range(2, 15)]
     verdicts = {False: 0, True: 0}
     for g in graphs:
         faces = [sum(1 << x for x in f) for f in embed(g)]

@@ -46,8 +46,12 @@ from tests.conftest import run_python
 from tests.oracles import (
     _degree_rows,
     _labeled_graphs_with_degrees,
+    automorphism_count,
     canonical_graph,
+    complete_multipartite,
     exhaustive_polyhedra,
+    petersen,
+    shuffled,
 )
 
 # classes per (p, q) cell; totals per order are 1, 2, 7, 34, 257, 2606
@@ -344,6 +348,45 @@ def test_carried_generators_are_automorphisms():
     assert generators == 708  # not vacuous
 
 
+def group_order(p, gens):
+    """The order of the permutation group on 0..p-1 that ``gens`` generate."""
+    group = {tuple(range(p))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            b = tuple(g[x] for x in a)
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return len(group)
+
+
+def test_carried_generators_generate_the_group():
+    # the automorphisms a direct-side class carries, and those a fresh
+    # search of a relabelled copy keeps, generate all of Aut(g), counted
+    # by brute force; K4 alone carries none, as the search returns at
+    # once on a complete graph, and its group is S4
+    assert automorphism_count(pc.complete(4)) == 24
+    assert automorphism_count(complete_multipartite(2, 2, 2)) == 48
+    assert automorphism_count(petersen()) == 120
+    rng = random.Random(1971)
+    short = []
+    classes = 0
+    for p in range(4, 10):
+        for cell in _embedded_census(p).values():
+            for g, _, _, gens in cell:
+                fresh = _labelled_search(shuffled(g, rng))[2]
+                orders = (
+                    automorphism_count(g), group_order(p, gens), group_order(p, fresh)
+                )
+                if len(set(orders)) > 1:
+                    short.append((pc.encode(g), *orders))
+                classes += 1
+    assert classes == 2809
+    assert short == [("C~", 24, 1, 1)]
+
+
 def test_census_classes_carry_their_certificates():
     # each class keeps the certificate it was filed under, K4 included,
     # which is never searched, and each dual pair its dual's; both must be
@@ -558,14 +601,18 @@ def test_census_search_count():
     # the bench census region on one CPU, in a fresh interpreter: one
     # search per accepted child and per dual; labelling the sizes 6..17
     # after it searches only the duals of the self-dual-line cells (350)
-    # and the three polyhedral complements
+    # and the three polyhedral complements, each after one first path
     script = """
 import polycensus as pc
 from polycensus import catalog, enumeration, isomorphism
 
 enumeration._CPUS = 1  # a child's searches go uncounted
-search, searches = isomorphism._search, []
-isomorphism._search = lambda p, *rest: searches.append(p) or search(p, *rest)
+search, searches, walks = isomorphism._search, [], []
+def spy(p, adj, target=None):
+    # a negative target only walks the first path, to the first leaf
+    (walks if target is not None and target < 0 else searches).append(p)
+    return search(p, adj, target)
+isomorphism._search = spy
 classes = 0
 for q in range(6, 22):
     for p in range((q + 8) // 3, 2 * q // 3 + 1):
@@ -574,10 +621,10 @@ for q in range(6, 22):
 census = len(searches)
 for q in range(6, 18):
     catalog.order_census(q)
-print(classes, census, len(searches) - census)
+print(classes, census, len(searches) - census, len(walks))
 """
     out = run_python(["-c", script]).stdout
-    assert out.split() == ["5268", "5591", "353"]
+    assert out.split() == ["5268", "5591", "353", "3"]
 
 
 @contextmanager

@@ -10,6 +10,7 @@ from polycensus.graphs import bits
 from tests import strategies
 from tests.oracles import (
     add_edge,
+    complete_multipartite,
     cycle,
     empty_graph,
     icosahedron,
@@ -173,8 +174,8 @@ def test_relabel():
 
 def test_builders():
     assert pc.complete(5).q == 10
-    assert pc.complete_multipartite(3, 3).q == 9
-    octa = pc.complete_multipartite(2, 2, 2)
+    assert complete_multipartite(3, 3).q == 9
+    octa = complete_multipartite(2, 2, 2)
     assert octa.p == 6 and octa.q == 12
     assert octa.degree_sequence() == DegreeSequence((4,) * 6)
 

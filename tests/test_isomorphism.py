@@ -13,21 +13,18 @@ from collections import defaultdict
 
 import polycensus as pc
 from polycensus import canonical_form
-from polycensus.isomorphism import (
-    _certificate,
-    _has_certificate,
-    _search,
-    canonical_labeling,
-)
+from polycensus.isomorphism import _certificate, _search, canonical_labeling
 from tests.oracles import (
     GRAPH_CLASS_COUNTS,
     all_graphs_up_to_iso,
     brute_certificate,
     brute_isomorphic,
+    complete_multipartite,
     cycle,
     empty_graph,
     path,
     plain_canonical_labeling,
+    plain_first_leaf,
     random_graph,
     shuffled,
     wheel,
@@ -63,7 +60,7 @@ SYMMETRIC = {
     "8K2": disjoint_cliques(8, 2),
     "3K4": disjoint_cliques(3, 4),
     "4K4": disjoint_cliques(4, 4),
-    "cocktail party K2,...,2": pc.complete_multipartite(*[2] * 8),
+    "cocktail party K2,...,2": complete_multipartite(*[2] * 8),
     "Q4": joined_when(16, lambda u, v: (u ^ v).bit_count() == 1),
     "4x4 rook": joined_when(16, lambda u, v: (u // 4 == v // 4) != (u % 4 == v % 4)),
     "Shrikhande": joined_when(16, shrikhande_step),
@@ -344,11 +341,23 @@ def test_targeted_search_meets_the_certificate():
         h = shuffled(g, rng)
         label = timed(_search, h.p, h.adj, target)[0]
         assert _certificate(h, label) == cf
-        assert _has_certificate(h, cf)
     shrikhande, rook = SYMMETRIC["Shrikhande"], SYMMETRIC["4x4 rook"]
     cf = canonical_form(shrikhande)
     target = int.from_bytes(cf.certificate[3:], "big")
     assert timed(_search, 16, rook.adj, target)[0] is None
-    assert not _has_certificate(rook, cf)
-    # another size is told by the certificate's head alone
-    assert not _has_certificate(cycle(5), canonical_form(path(5)))
+    # another size is told by the degree rows alone
+    assert not pc.are_isomorphic(cycle(5), path(5))
+
+
+def test_first_leaf_is_the_end_of_the_plain_first_path(universe):
+    # a negative target, which every leaf matches, stops the search at its
+    # first leaf, with no automorphism kept: the leaf the plain search
+    # reaches first, found here by code that shares nothing with the search
+    rng = random.Random(1981)
+    graphs = list(universe) + list(SYMMETRIC.values())
+    for p in range(4, 9):
+        for q in range(6, 3 * p - 5):
+            graphs += [shuffled(g, rng) for g in pc.enumerate_polyhedra(p, q)]
+    assert len(graphs) == 1252 + 13 + 301
+    for g in graphs:
+        assert _search(g.p, g.adj, -1) == (plain_first_leaf(g), []), pc.encode(g)

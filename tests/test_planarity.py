@@ -7,6 +7,7 @@ from polycensus import NonPlanarGraphError, NotPolyhedralError, dual, embed, is_
 from polycensus import planarity
 from tests.oracles import (
     brute_blocks,
+    complete_multipartite,
     empty_graph,
     glued_graph,
     icosahedron,
@@ -41,14 +42,14 @@ def test_planarity_basics():
     assert is_planar(cube())
     assert is_planar(path(8))
     assert not is_planar(pc.complete(5))
-    assert not is_planar(pc.complete_multipartite(3, 3))
+    assert not is_planar(complete_multipartite(3, 3))
 
 
 def test_kuratowski_examples():
     assert kuratowski_oracle(pc.complete(4))
     assert kuratowski_oracle(path(8))  # trees are planar
     assert not kuratowski_oracle(pc.complete(5))
-    assert not kuratowski_oracle(pc.complete_multipartite(3, 3))
+    assert not kuratowski_oracle(complete_multipartite(3, 3))
     g = petersen_minus_vertex()
     assert not kuratowski_oracle(g)
     assert not is_planar(g)

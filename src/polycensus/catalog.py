@@ -2,18 +2,20 @@
 
 Labels read qqpp.nn: zero-padded size, zero-padded order, then a
 counter that runs through the graphs of that size and order in listing
-order.  Labels are decided one size at a time: ``order_census(q)``
-labels every class with q edges, which holds the dual of each of them,
-since a dual keeps the size, and ``build_catalog`` lists the sizes
-6..14 in turn.  Inside a size the unit is a self-dual graph or a dual
-pair, the two partners always adjacent; a pair whose members have
-different orders is keyed by the smaller one, so the order-7 size-14
-graphs each precede their order-9 duals.  Units at the same order put
-self-duals first, then sort by decreasing degree sequence, the
-partner's degree sequence, and finally the canonical certificate,
-which settles anything left.  A unit's members are labelled together
-and their entries built then, each carrying its partner's label as its
-dual label (a self-dual graph carries its own).
+order, from 1, in at least two digits: three past 99, at q = 16 and 17,
+where string order is then not listing order.  Labels are decided one
+size at a time: ``order_census(q)`` labels every class with q edges,
+which holds the dual of each of them, since a dual keeps the size, and
+``build_catalog`` lists the sizes 6..14 in turn.  Inside a size the
+unit is a self-dual graph or a dual pair, the two partners always
+adjacent; a pair whose members have different orders is keyed by the
+smaller one, so the order-7 size-14 graphs each precede their order-9
+duals.  Units at the same order put self-duals first, then sort by
+decreasing degree sequence, the partner's degree sequence, and finally
+the canonical certificate, which settles anything left.  A unit's
+members are labelled together and their entries built then, each
+carrying its partner's label as its dual label (a self-dual graph
+carries its own).
 
 Certificates and duals come from the census, not from a search or
 ``dual`` here: the census keeps every class with the certificate it

@@ -272,7 +272,11 @@ class ClassificationReport(NamedTuple):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _scan(p: int, q: int, row, graphs) -> CaseResult:
+def _scan(q: int, row: DegreeSequence | None) -> CaseResult:
+    """The complement check of the (8, q) classes, of degrees ``row`` unless None."""
+    graphs = enumerate_polyhedra(8, q)
+    if row is not None:
+        graphs = filter_by_degree_sequence(graphs, row)
     non_planar = not_3conn = 0
     winners = []
     for g in graphs:
@@ -285,7 +289,7 @@ def _scan(p: int, q: int, row, graphs) -> CaseResult:
             not_3conn += 1
             continue
         winners.append(g)
-    return CaseResult(p, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
+    return CaseResult(8, q, row, len(graphs), non_planar, not_3conn, tuple(winners))
 
 
 def _entry(g: Graph) -> CatalogEntry:
@@ -308,16 +312,10 @@ def solve_question(prune: bool = True) -> ClassificationReport:
     """
     with _forked([_bound] if not _proved and _may_fork() else []) as sent:
         rows = candidate_degree_rows()
-        cases = []
         if prune:
-            for cand in rows:
-                graphs = filter_by_degree_sequence(
-                    enumerate_polyhedra(8, cand.q), cand.row
-                )
-                cases.append(_scan(8, cand.q, cand.row, graphs))
+            cases = [_scan(cand.q, cand.row) for cand in rows]
         else:
-            for q in range(12, 17):
-                cases.append(_scan(8, q, None, enumerate_polyhedra(8, q)))
+            cases = [_scan(q, None) for q in range(12, 17)]
         found = {_entry(g) for case in cases for g in case.solutions}
         # the complement of a winner is a solution too: the winner's own
         # class when the catalog has it self-complementary, else named by

@@ -30,10 +30,6 @@ class NotPolyhedralError(ValueError):
     """Raised when an operation needs a 3-connected planar input."""
 
 
-def _not_polyhedral(g: Graph) -> NotPolyhedralError:
-    return NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
-
-
 def _polyhedral(g: Graph, ordered: bool = False) -> tuple[bool, list[int] | None]:
     """Whether ``g`` is planar, with the vertex masks of its faces when
     it is also 3-connected, else None: one embedding, then the face
@@ -46,6 +42,15 @@ def _polyhedral(g: Graph, ordered: bool = False) -> tuple[bool, list[int] | None
         walks = _normal_form(walks)
     faces = [sum(map(_BIT.__getitem__, f)) for f in walks]
     return True, faces if _three_connected_by_faces(g, faces) else None
+
+
+def _faces(g: Graph, ordered: bool = False) -> list[int]:
+    """The vertex masks of the faces of ``g``, as ``_polyhedral`` gives
+    them; raises NotPolyhedralError unless ``g`` is polyhedral."""
+    faces = _polyhedral(g, ordered)[1]
+    if faces is None:
+        raise NotPolyhedralError(f"graph with p={g.p}, q={g.q} is not polyhedral")
+    return faces
 
 
 def is_polyhedral(g: Graph) -> bool:
@@ -61,10 +66,7 @@ def dual(g: Graph) -> Graph:
     class is meaningful.  Embeds once: the embedding is the planarity
     test, and its faces give 3-connectivity and the dual.
     """
-    faces = _polyhedral(g, ordered=True)[1]
-    if faces is None:
-        raise _not_polyhedral(g)
-    return _face_graph(g, faces)
+    return _face_graph(g, _faces(g, ordered=True))
 
 
 def _faces_through(faces: Sequence[int], p: int) -> list[int]:
@@ -140,10 +142,7 @@ def _face_graph(g: Graph, faces: Sequence[int]) -> Graph:
 
 def is_self_dual(g: Graph) -> bool:
     """Raises NotPolyhedralError unless ``g`` is polyhedral."""
-    faces = _polyhedral(g)[1]
-    if faces is None:
-        raise _not_polyhedral(g)
-    return _self_dual_by_faces(g, faces)
+    return _self_dual_by_faces(g, _faces(g))
 
 
 def _self_dual_by_faces(g: Graph, faces: Sequence[int]) -> bool:

@@ -114,7 +114,8 @@ y lie on opposite a-b paths of its boundary; the other face is a face
 of g other than F1 and F2.  As F1 and F2 share only a and b, the test
 is one bitmask of faces per vertex, ORed over each side.
 
-For both rules, classes are keyed by certificate and stored as their
+For both rules, one function files the children (``_filed``): classes
+are keyed by the bytes of their certificates and stored as their
 canonical graphs with that certificate, so the output does not depend
 on which child reached a class first.  The automorphisms a class
 carries do, but they decide only which repeats are skipped.
@@ -128,12 +129,12 @@ slower takes fewer chunks and no side waits long for another.  No
 parent's children depend on another parent's, since every accepted
 child is searched whether its class is filed or not.  So each chunk
 files its children first-wins in parent order, and merging the chunks
-in index order, whoever ran them, first-wins again, files every class
-from the same child, with the same faces and automorphisms, as one pass
-over all the parents would; the duals come back in class order.  The
-output is byte for byte that of the serial pass.  With one CPU, without
-fork, in a process with other threads, or with one chunk, the work runs
-in-process as one chunk, through the same code.
+in index order (``_level``), whoever ran them, first-wins again, files
+every class from the same child, with the same faces and automorphisms,
+as one pass over all the parents would; the duals come back in class
+order.  The output is byte for byte that of the serial pass.  With one
+CPU, without fork, in a process with other threads, or with one chunk,
+the work runs in-process as one chunk, through the same code.
 
 The deletion check is cheap because deletion only lowers degrees: the
 faces of g are read once per parent, and its pairs C(g) are sorted by
@@ -220,22 +221,6 @@ def _orbit(mask: int, gens: _Gens) -> set[int]:
                 orbit.add(image)
                 todo.append(image)
     return orbit
-
-
-def _keep(found: dict[bytes, _Entry], h: Graph, faces: _Faces) -> None:
-    """File the child ``h`` with ``faces`` under its certificate, relabelled
-    canonically, with its automorphisms, unless its class is in ``found``."""
-    cf, label, gens = _labelled_search(h)
-    if cf.certificate not in found:
-        found[cf.certificate] = (h.relabel(label).adj, _relabelled(faces, label), gens)
-
-
-def _classes(found: dict[bytes, _Entry]) -> _Classes:
-    """The classes filed in ``found``, sorted by certificate."""
-    return tuple(
-        (Graph._derived(len(rows), rows), c, faces, gens)
-        for c, (rows, faces, gens) in sorted(found.items())
-    )
 
 
 def _may_fork() -> bool:
@@ -342,26 +327,32 @@ def _chunked(work: Callable[[tuple], _R], items: tuple) -> list[_R]:
     return [done[i] for i in range(n)]
 
 
-def _children(step: Callable, parents: _Classes) -> dict[bytes, _Entry]:
-    """The classes one ``step`` below ``parents``, filed by ``_keep`` in the
-    order the parents reach them."""
+def _filed(step: Callable, parents: _Classes) -> dict[bytes, _Entry]:
+    """certificate -> (canonical rows, faces, automorphisms) of the classes
+    one ``step`` below ``parents``: every child is searched once, and the
+    first of a class in parent order files it, relabelled canonically."""
     found: dict[bytes, _Entry] = {}
     for g, _, faces, gens in parents:
-        for h, child_faces in step(g, faces, gens):
-            _keep(found, h, child_faces)
+        for h, hfaces in step(g, faces, gens):
+            cert, label, hgens = _labelled_search(h)
+            if cert not in found:
+                found[cert] = (h.relabel(label).adj, _relabelled(hfaces, label), hgens)
     return found
 
 
 def _level(step: Callable, parents: _Classes) -> _Classes:
     """(class, its certificate, faces, ...) for every class one ``step``
-    below ``parents``, a split or a deletion, canonical and sorted."""
+    below ``parents``, canonical and sorted, from ``_filed``'s chunks."""
     found: dict[bytes, _Entry] = {}
     # first wins within each chunk and across the chunks in order, as
     # over the parents in one pass
-    for chunk in _chunked(partial(_children, step), parents):
+    for chunk in _chunked(partial(_filed, step), parents):
         for c, entry in chunk.items():
             found.setdefault(c, entry)
-    return _classes(found)
+    return tuple(
+        (Graph._derived(len(rows), rows), c, faces, gens)
+        for c, (rows, faces, gens) in sorted(found.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +438,7 @@ def _embedded_triangulations(p: int) -> _Classes:
         # K4 is its own canonical graph; its faces are its four triangles,
         # and it carries no automorphisms, which skips no repeat
         k4 = complete(4)
-        cert = _certificate(k4, tuple(range(4))).certificate
+        cert = _certificate(k4, tuple(range(4)))
         return ((k4, cert, tuple(15 ^ 1 << v for v in range(4)), ()),)
     return _level(_accepted_splits, _embedded_triangulations(p - 1))
 
@@ -600,8 +591,8 @@ def _duals(classes: _Classes) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
     out = []
     for h, _, faces, _ in classes:
         d = _face_graph(h, faces)
-        cf, label, _ = _labelled_search(d)
-        out.append((cf.certificate, d.relabel(label).adj))
+        cert, label, _ = _labelled_search(d)
+        out.append((cert, d.relabel(label).adj))
     return tuple(out)
 
 

@@ -232,20 +232,20 @@ def _search(
     return (best_label if target is None else hit), autos
 
 
-def _certificate(g: Graph, label: tuple[int, ...]) -> CanonicalForm:
+def _certificate(g: Graph, label: tuple[int, ...]) -> bytes:
     """The order, the size and the packed bits under ``label``."""
     p = g.p
     packed = _pack_bits(p, g.adj, label)
     nbits = p * (p - 1) // 2
     body = packed.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    return CanonicalForm(bytes([p]) + g.q.to_bytes(2, "big") + body)
+    return bytes([p]) + g.q.to_bytes(2, "big") + body
 
 
 def _labelled_search(
     g: Graph,
-) -> tuple[CanonicalForm, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Certificate, canonical labelling and kept automorphisms of ``g``
-    from one uncached search.
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Certificate bytes, canonical labelling and kept automorphisms of
+    ``g`` from one uncached search.
 
     The automorphisms are returned in canonical labels: sigma on g
     becomes tau on the canonical graph, tau[label[v]] = label[sigma[v]].
@@ -270,7 +270,7 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    return _certificate(g, canonical_labeling(g))
+    return CanonicalForm(_certificate(g, canonical_labeling(g)))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

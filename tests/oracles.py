@@ -361,6 +361,29 @@ _ORDER_9_CELLS = {(9, 14), (9, 15)}
 
 
 @cache
+def _filtration(
+    p: int, q: int
+) -> tuple[tuple[Graph, ...], dict[tuple[int, ...], int]]:
+    """The classes of ``exhaustive_polyhedra``, and the weights of
+    ``labelled_weights``, from one scan."""
+    if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
+        return (), {}
+    if p > 8 and (p, q) not in _ORDER_9_CELLS:
+        raise ValueError("direct filtration is kept to p <= 8, (9, 14) and (9, 15)")
+    found = {}
+    weights = {}
+    for row in _degree_rows(p, q):
+        weights[row] = 0
+        for g, w in _labeled_graphs_with_degrees(row):
+            if is_planar(g) and is_3_connected(g):
+                weights[row] += w
+                cf = canonical_form(g)
+                if cf not in found:
+                    found[cf] = canonical_graph(g)
+    classes = tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
+    return classes, weights
+
+
 def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     """Census by direct filtration; shares no generation machinery with
     enumerate_polyhedra.
@@ -368,18 +391,20 @@ def exhaustive_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     Scans, at every order, the labelled graphs realizing each degree
     vector that a polyhedron could have.
     """
-    if p < 4 or q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
-        return ()
-    if p > 8 and (p, q) not in _ORDER_9_CELLS:
-        raise ValueError("direct filtration is kept to p <= 8, (9, 14) and (9, 15)")
-    found = {}
-    for row in _degree_rows(p, q):
-        for g, _ in _labeled_graphs_with_degrees(row):
-            if is_planar(g) and is_3_connected(g):
-                cf = canonical_form(g)
-                if cf not in found:
-                    found[cf] = canonical_graph(g)
-    return tuple(found[k] for k in sorted(found, key=lambda c: c.certificate))
+    return _filtration(p, q)[0]
+
+
+def labelled_weights(p: int, q: int) -> dict[tuple[int, ...], int]:
+    """Degree row -> the number of labelled polyhedra on 0..p-1 with q
+    edges in which vertex v has degree row[v], for every row that
+    ``_degree_rows`` yields, 0 included: the summed weights of the graphs
+    of the cut scan that pass the filtration of ``exhaustive_polyhedra``.
+
+    A class g with that row has prod m_d! / |Aut(g)| such labellings,
+    for m_d vertices of degree d, so the rows count the classes weighted
+    by their groups.
+    """
+    return _filtration(p, q)[1]
 
 
 # ---------------------------------------------------------------------------

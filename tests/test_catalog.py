@@ -204,6 +204,26 @@ def test_census_certificates_beyond_the_catalog(q):
         assert partner.certificate == pc.canonical_form(pc.dual(e.graph))
 
 
+def test_label_counts_its_class_within_its_block():
+    # qqpp.nn: zero-padded size and order, then nn, the 1-based position
+    # of the class among those of its order in the listing of its size,
+    # written with at least two digits; so past 99, which only q = 16 and
+    # 17 reach here, nn has three and string order is not listing order
+    wide = {}
+    for q in range(6, 18):
+        blocks = {}
+        for e in order_census(q):
+            head, nn = e.label.split(".")
+            assert head == f"{q:02d}{e.p:02d}", e.label
+            assert re.fullmatch(r"\d\d|[1-9]\d\d+", nn), e.label
+            blocks.setdefault(e.p, []).append(e.label)
+            assert int(nn) == len(blocks[e.p]), e.label
+        for labels in blocks.values():
+            assert (labels == sorted(labels)) == (len(labels) < 100), q
+        wide[q] = sum(len(label) > 7 for labels in blocks.values() for label in labels)
+    assert wide == {**dict.fromkeys(range(6, 16), 0), 16: 197, 17: 1068}
+
+
 def test_catalog_json_digest():
     # labels, flags, dual labels and published names past the catalog's
     # q = 14, which the classify report does not cover

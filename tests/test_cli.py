@@ -618,6 +618,18 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(set(re.findall(r"\bpc\.(\w+)", library)) - set(pc.__all__)) == []
 
 
+def test_package_parses_as_python_3_10():
+    # pyproject.toml and the README promise Python 3.10; the parser's
+    # feature_version rejects the newer syntax that this interpreter
+    # would otherwise run, such as except*
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    modules = sorted(Path(pc.__file__).parent.glob("*.py"))
+    assert modules  # not vacuous
+    for module in modules:
+        ast.parse(module.read_text(), str(module), feature_version=(3, 10))
+
+
 def test_traced_layers_exist():
     # the benchmark's layer trace wraps these names by lookup; a rename
     # or deletion would break traced runs, not any test of the package

@@ -9,10 +9,12 @@ every cell is the strongest evidence either is right.
 import ast
 import hashlib
 import inspect
+import math
 import os
 import random
 import select
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -50,6 +52,7 @@ from tests.oracles import (
     canonical_graph,
     complete_multipartite,
     exhaustive_polyhedra,
+    labelled_weights,
     petersen,
     shuffled,
 )
@@ -72,6 +75,15 @@ CENSUS_DIGEST = "1cc70f0192fe5678b479b091cbdef5bb733c03a913ceb1781e15e7bb9136828
 
 # classes per size q, OEIS A002840
 SIZE_TOTALS = dict(zip(range(6, 18), (1, 0, 1, 2, 2, 4, 12, 22, 58, 158, 448, 1342)))
+
+# rooted 3-connected planar maps (c-nets) per size q, the sum of
+# 4q / |Aut(g)| over its classes, each term checked against the oracle
+ROOTED_MAPS = dict(zip(range(6, 15), (1, 0, 4, 6, 24, 66, 214, 676, 2209)))
+
+# the cells the direct filtration covers
+ORACLE_CELLS = [
+    (p, q) for p in range(4, 9) for q in range((3 * p + 1) // 2, 3 * p - 5)
+] + [(9, 14), (9, 15)]
 
 
 def certs(graphs):
@@ -184,6 +196,57 @@ def test_oracle_weights_count_the_uncut_scan():
                 totals[0] += len(full)
                 totals[1] += len(scan)
         assert totals == [uncut, cut], p
+
+
+def _labellings(row):
+    """prod m_d! over the degrees d of ``row``, m_d the vertices of degree d:
+    the labellings of a graph that keep each vertex's degree in ``row``."""
+    return math.prod(math.factorial(row.count(d)) for d in set(row))
+
+
+def test_labelled_counts_per_degree_row():
+    # a class g with degree row r has prod m_d! / |Aut(g)| labellings in
+    # which vertex v has degree r[v]; summed over the census classes with
+    # that row they must give the oracle's count of labelled polyhedra,
+    # row by row on every cell the oracle covers.  |Aut(g)| comes from a
+    # brute-force count, since K4 carries no generators
+    rows = filled = 0
+    for p, q in ORACLE_CELLS:
+        want = labelled_weights(p, q)
+        got = dict.fromkeys(want, 0)
+        for g in enumerate_polyhedra(p, q):
+            row = g.degree_sequence().degrees
+            got[row] += Fraction(_labellings(row), automorphism_count(g))
+        assert got == want, (p, q)
+        rows += len(want)
+        filled += sum(map(bool, want.values()))
+    assert (rows, filled) == (124, 84)
+
+
+def test_rooted_maps_by_size():
+    # a polyhedral graph has one embedding up to mirror image (Whitney), so
+    # Aut(g) acts freely on its 4q roots, a dart with a side, and the
+    # rooted c-nets with q edges number the sum of 4q / |Aut(g)| over its
+    # classes (Mullin & Schellenberg 1968; OEIS A000287); through q = 14
+    # every cell is an oracle cell, whose labelled counts give each term
+    for q, rooted in ROOTED_MAPS.items():
+        lo, hi = order_bounds(q)
+        by_census = sum(
+            Fraction(4 * q, automorphism_count(g))
+            for classes in pc.enumerate_by_size(q).values()
+            for g in classes
+        )
+        by_oracle = sum(
+            Fraction(4 * q * w, _labellings(row))
+            for p in range(lo, hi + 1)
+            for row, w in labelled_weights(p, q).items()
+        )
+        assert by_census == by_oracle == rooted, q
+    # past the oracle, each group must still act freely on the roots
+    for q in (15, 16, 17):
+        for classes in pc.enumerate_by_size(q).values():
+            for g in classes:
+                assert 4 * q % automorphism_count(g) == 0, pc.encode(g)
 
 
 def test_size_totals_against_a002840():
@@ -387,6 +450,31 @@ def test_carried_generators_generate_the_group():
     assert short == [("C~", 24, 1, 1)]
 
 
+def test_dual_pairs_have_groups_of_one_order():
+    # a polyhedral graph has one embedding up to mirror image, so its
+    # automorphisms act on its faces (Whitney; Mani, 1971) and |Aut(g)| =
+    # |Aut(g*)|; on every pair the dual route reads, the group that g's
+    # carried generators generate, the one that a fresh search of g* keeps
+    # and a brute-force count of Aut(g*) must agree
+    pairs = 0
+    short = []
+    for r in range(4, 10):
+        for q, cell in _embedded_census(r).items():
+            if q == 2 * r - 2:
+                continue  # the self-dual line, read by the catalog alone
+            for (g, _, _, gens), (_, _, _, d) in zip(cell, _dual_pairs(r, q)):
+                orders = (
+                    group_order(r, gens),
+                    group_order(d.p, _labelled_search(d)[2]),
+                    automorphism_count(d),
+                )
+                if len(set(orders)) > 1:
+                    short.append((pc.encode(g), *orders))
+                pairs += 1
+    assert pairs == 2459
+    assert short == []
+
+
 def test_census_classes_carry_their_certificates():
     # each class keeps the certificate it was filed under, K4 included,
     # which is never searched, and each dual pair its dual's; both must be
@@ -398,10 +486,10 @@ def test_census_classes_carry_their_certificates():
             pairs = _dual_pairs(p, q)
             assert [(g, c) for g, c, _, _ in cell] == [(h, c) for h, c, _, _ in pairs]
             for h, c, dc, d in pairs:
-                assert c == _labelled_search(h)[0].certificate, pc.encode(h)
-                assert dc == _labelled_search(d)[0].certificate, pc.encode(h)
-                assert _certificate(h, tuple(range(h.p))).certificate == c, pc.encode(h)
-                assert _certificate(d, tuple(range(d.p))).certificate == dc, pc.encode(h)
+                assert c == _labelled_search(h)[0], pc.encode(h)
+                assert dc == _labelled_search(d)[0], pc.encode(h)
+                assert _certificate(h, tuple(range(h.p))) == c, pc.encode(h)
+                assert _certificate(d, tuple(range(d.p))) == dc, pc.encode(h)
                 classes += 1
     assert classes == 2809  # every direct-side class through order 9
 

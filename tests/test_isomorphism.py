@@ -340,7 +340,7 @@ def test_targeted_search_meets_the_certificate():
         target = int.from_bytes(cf.certificate[3:], "big")
         h = shuffled(g, rng)
         label = timed(_search, h.p, h.adj, target)[0]
-        assert _certificate(h, label) == cf
+        assert _certificate(h, label) == cf.certificate
     shrikhande, rook = SYMMETRIC["Shrikhande"], SYMMETRIC["4x4 rook"]
     cf = canonical_form(shrikhande)
     target = int.from_bytes(cf.certificate[3:], "big")

@@ -97,16 +97,12 @@ def order_census(q: int) -> tuple[CatalogEntry, ...]:
     for p in range(lo, min(hi, (q + 2) // 2) + 1):
         enumerate_polyhedra(p, q)  # raises where the census stops
         for g, cert, cd, d in _dual_pairs(p, q):
-            a, b = (g, cert), (d, cd)
+            key = _member_key(g, d, cert)
             if cd == cert:
-                units.append((p, 0, _member_key(g, g, cert), (a,)))
-            elif d.p > p:  # keyed by its smaller-order member
-                units.append((p, 1, _member_key(g, d, cert), (a, b)))
-            elif cert < cd:  # both members are in this cell: take the pair once
-                key, d_key = _member_key(g, d, cert), _member_key(d, g, cd)
-                if d_key < key:
-                    a, b, key = b, a, d_key
-                units.append((p, 1, key, (a, b)))
+                units.append((p, 0, key, ((g, cert),)))
+            # keyed by its smaller-order member, or in this cell by the lesser key
+            elif d.p > p or key < _member_key(d, g, cd):
+                units.append((p, 1, key, ((g, cert), (d, cd))))
     units.sort(key=lambda u: u[:3])
 
     entries: list[CatalogEntry] = []

@@ -36,7 +36,8 @@ certificate and every catalog label read that exact leaf.  Four rules cut the wo
   class), so the automorphism found at a tie maps the best leaf's path
   onto the new one's and fixes their common prefix; the rest of the new
   leaf's branch below that prefix is then skipped at once.  The root
-  is the k = 0 case.
+  is the k = 0 case.  Complete and empty graphs take this tree too:
+  each later leaf ties with the first, the identity, and prunes its branch.
 
 The plain search packs the first leaf only when a second leaf needs
 comparing with it; most planar inputs refine to a single leaf.
@@ -130,7 +131,8 @@ def _search(
     p: int, adj: tuple[int, ...], target: int | None = None
 ) -> tuple[tuple[int, ...] | None, list[list[int]]]:
     """Labelling (vertex -> position) minimizing the packed adjacency
-    bits, and the automorphisms (v -> image) the search found at ties.
+    bits, and the automorphisms (v -> image) the search found at ties,
+    from one tree walk for every graph, complete and empty ones too.
 
     Given ``target``, packed bits, the search stops at the first leaf
     that packs to them and returns that leaf's labelling instead, or
@@ -138,13 +140,6 @@ def _search(
     so a negative target matches every leaf: the search returns its
     first leaf, unpacked, and keeps no automorphism."""
     autos: list[list[int]] = []
-    q2 = sum(row.bit_count() for row in adj)
-    if q2 == 0 or q2 == p * (p - 1):
-        label = tuple(range(p))  # empty or complete: every labelling ties
-        if target is None or target < 0 or _pack_bits(p, adj, label) == target:
-            return label, autos
-        return None, autos
-
     # built per search, not cached: a cache would keep one list per graph
     nbrs = [bits(row) for row in adj]
     best_bits: int | None = None

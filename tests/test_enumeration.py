@@ -428,8 +428,8 @@ def group_order(p, gens):
 def test_carried_generators_generate_the_group():
     # the automorphisms a direct-side class carries, and those a fresh
     # search of a relabelled copy keeps, generate all of Aut(g), counted
-    # by brute force; K4 alone carries none, as the search returns at
-    # once on a complete graph, and its group is S4
+    # by brute force; the census's K4 alone carries none, as it is built by
+    # hand and never searched, and its group is S4
     assert automorphism_count(pc.complete(4)) == 24
     assert automorphism_count(complete_multipartite(2, 2, 2)) == 48
     assert automorphism_count(petersen()) == 120
@@ -447,7 +447,11 @@ def test_carried_generators_generate_the_group():
                     short.append((pc.encode(g), *orders))
                 classes += 1
     assert classes == 2809
-    assert short == [("C~", 24, 1, 1)]
+    assert short == [("C~", 24, 1, 24)]
+    # a complete graph is searched like any other: its kept automorphisms
+    # generate the whole symmetric group
+    for p in (4, 5, 6):
+        assert group_order(p, _labelled_search(pc.complete(p))[2]) == math.factorial(p)
 
 
 def test_dual_pairs_have_groups_of_one_order():

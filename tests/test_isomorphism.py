@@ -68,6 +68,11 @@ SYMMETRIC = {
     "C16": cycle(16),
     "Paley(13)": joined_when(13, lambda u, v: (u - v) % 13 in {1, 3, 4, 9, 10, 12}),
     "complement of 6K2": disjoint_cliques(6, 2).complement(),
+    # every leaf of these ties with the first, so each later leaf must be
+    # pruned at once by the automorphism its tie gives
+    "K16": pc.complete(16),
+    "empty on 16": empty_graph(16),
+    "K8,8": complete_multipartite(8, 8),
 }
 
 # computed by the plain search, which takes seconds on each
@@ -230,6 +235,12 @@ def test_symmetric_graphs_label_fast_and_invariantly():
         assert canonical_form(SYMMETRIC[name]).hex == text, name
 
 
+def test_complete_and_empty_graphs_keep_the_identity():
+    # their first leaf is the identity, and every later leaf ties with it
+    for g in (pc.complete(16), empty_graph(16)):
+        assert canonical_labeling(g) == tuple(range(16)), g
+
+
 def paley9():
     # GF(9) as Z3[i] with i^2 = -1, a + bi numbered 3a + b; x ~ y when
     # x - y is a nonzero square
@@ -358,6 +369,6 @@ def test_first_leaf_is_the_end_of_the_plain_first_path(universe):
     for p in range(4, 9):
         for q in range(6, 3 * p - 5):
             graphs += [shuffled(g, rng) for g in pc.enumerate_polyhedra(p, q)]
-    assert len(graphs) == 1252 + 13 + 301
+    assert len(graphs) == 1252 + 16 + 301
     for g in graphs:
         assert _search(g.p, g.adj, -1) == (plain_first_leaf(g), []), pc.encode(g)

@@ -615,7 +615,7 @@ def enumerate_polyhedra(p: int, q: int) -> tuple[Graph, ...]:
     Returns () outside the feasible region.  Orders are supported as
     long as p or the dual order q - p + 2 is at most MAX_ENUM_ORDER.
     """
-    if q < 6 or q > 3 * p - 6 or 2 * q < 3 * p:
+    if q > 3 * p - 6 or 2 * q < 3 * p:
         return ()
     r = q - p + 2
     if min(p, r) > MAX_ENUM_ORDER:

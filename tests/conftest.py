@@ -4,19 +4,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
 
 import polycensus as pc
 from tests.oracles import all_graphs_up_to_iso
-
-settings.register_profile(
-    "census",
-    derandomize=True,
-    deadline=None,
-    max_examples=50,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("census")
 
 
 def run_python(argv, env=None, preexec_fn=None, check=True):

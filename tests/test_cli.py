@@ -66,10 +66,16 @@ def test_enumerate_bound_violation(capsys):
     code, out, err = run(capsys, "enumerate", "--q", "5")
     assert code == 2
     assert "error" in err
-    # order_bounds gives the message, whatever the format
-    message = "error: no polyhedral graph has fewer than 6 edges\n"
-    for fmt in ("g6", "json", "dot"):
-        assert run(capsys, "enumerate", "--q", "5", "--format", fmt) == (2, "", message)
+    # order_bounds gives the first message, whatever the format; past q = 17
+    # --p cannot narrow a size to the orders the census reaches
+    for argv, message in (
+        (["--q", "5"], "no polyhedral graph has fewer than 6 edges"),
+        (["--q", "18", "--p", "8"], "feasible, but p=10 and q-p+2=10 both exceed 9"),
+    ):
+        for fmt in ("g6", "json", "dot"):
+            got = run(capsys, "enumerate", *argv, "--format", fmt)
+            assert got == (2, "", f"error: {message}\n")
+    assert len(pc.enumerate_polyhedra(8, 18)) == 14
 
 
 def test_enumerate_json(capsys):
@@ -165,7 +171,7 @@ def test_cold_classify(tmp_path):
     # imports) or a process pool and its pickle, and labels only the
     # solutions' size, q = 14, where it embeds no complement that has a
     # vertex of degree below 3 and searches no class for a certificate
-    # the census already holds
+    # the census already holds; it loads only stdlib and package modules
     script = """
 import sys
 before = set(sys.modules)
@@ -186,17 +192,33 @@ seen.append(set(sys.modules) - before)
 slow = {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent"}
 print([sorted(slow & s) for s in seen], code, len(embeds))
 print(len(searches), len(walks))
+ours = {*sys.stdlib_module_names, "polycensus"}
+print(sorted(m for m in seen[0] | seen[1] if m.partition(".")[0] not in ours))
 """
     report = tmp_path / "report.json"
     out = run_python(["-c", script, str(report)]).stdout
-    *_, verdict, searches = out.splitlines()
+    *_, verdict, searches, foreign = out.splitlines()
     assert verdict == "[[], []] 0 300"
+    assert foreign == "[]"
     # 633 when the catalog searched each class, 520 when the order-8 scan
     # searched each winner, 517 when classify labelled every size through
     # 14; the three polyhedral complements are tested by one first path
     # of their class and one targeted search each
     assert searches.split() == ["501", "3"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
+
+
+def test_tests_import_only_stdlib_pytest_and_the_package():
+    # the suite needs pytest alone beside the standard library
+    ours = {*sys.stdlib_module_names, "pytest", "polycensus", "tests"}
+    imported = [
+        (path.name, node.module if isinstance(node, ast.ImportFrom) else alias.name)
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import | ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [(f, m) for f, m in imported if m.partition(".")[0] not in ours] == []
 
 
 def test_classify_bytes_on_one_and_two_cpus(tmp_path):

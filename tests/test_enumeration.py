@@ -721,30 +721,31 @@ print(classes, census, len(searches) - census, len(walks))
 
 @contextmanager
 def _child_takes_a_chunk():
-    """A side pipe that makes a forked child take a chunk: the function
-    yielded, called at the start of each chunk, writes the chunk's index
-    to the pipe in a child and, in the caller's first chunk, waits a few
-    seconds at most for a child's byte.  The read end is yielded too."""
+    """Side pipes that make a forked child and the caller each take a
+    chunk: the function yielded, run at the start of each chunk, sends the
+    other side a byte (a child sends its chunk's index) and waits a few
+    seconds at most for one back.  The child's read end is yielded too."""
     me = os.getpid()
     r, w = os.pipe()
-    waited = []
+    go_r, go_w = os.pipe()
 
     def handshake(chunk):
         if os.getpid() != me:
             os.write(w, bytes([chunk[0] // enumeration._CHUNK]))
-        elif not waited:
-            waited.append(1)
+            assert select.select([go_r], [], [], 5)[0], "the caller took no chunk"
+        else:
+            os.write(go_w, b"\0")
             assert select.select([r], [], [], 5)[0], "no child took a chunk"
 
     try:
         yield handshake, r
     finally:
-        os.close(r)
-        os.close(w)
+        for fd in (r, w, go_r, go_w):
+            os.close(fd)
 
 
 def test_chunks_are_queued_across_processes(monkeypatch):
-    # with the caller held until a child has started a chunk, both run
+    # with each side held until the other has started a chunk, both run
     # chunks off the queue; each chunk runs once, its result comes back
     # in chunk order, and no child and no descriptor is left behind
     monkeypatch.setattr(enumeration, "_CPUS", 2)
@@ -815,6 +816,9 @@ def test_enumerate_infeasible_is_empty():
     assert enumerate_polyhedra(5, 10) == ()
     assert enumerate_polyhedra(10, 14) == ()
     assert enumerate_polyhedra(4, 7) == ()
+    # 3p <= 2q <= 6p - 12 forces p >= 4 and so q >= 6
+    small = [(p, q) for p in range(1, 17) for q in range(6)]
+    assert [cell for cell in small if enumerate_polyhedra(*cell)] == []
 
 
 def test_enumerate_guard():

@@ -2,12 +2,10 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
 
 import polycensus as pc
 from polycensus import DegreeSequence, Graph
 from polycensus.graphs import bits
-from tests import strategies
 from tests.oracles import (
     add_edge,
     complete_multipartite,
@@ -16,6 +14,7 @@ from tests.oracles import (
     icosahedron,
     neighbors,
     path,
+    sample_graphs,
     wheel,
 )
 
@@ -156,10 +155,17 @@ def test_complement():
     assert c5.complement().complement() == c5
 
 
-@given(strategies.graphs(max_p=8))
-def test_complement_involution(g):
-    assert g.complement().complement() == g
-    assert g.q + g.complement().q == g.p * (g.p - 1) // 2
+def _property_inputs(universe):
+    # the universe, then per order 1..8 the empty graph, K_p and 50 seeded graphs
+    yield from universe
+    for p in range(1, 9):
+        yield from (empty_graph(p), pc.complete(p), *sample_graphs(p, 50, 3800 + p))
+
+
+def test_complement_involution(universe):
+    for g in _property_inputs(universe):
+        assert g.complement().complement() == g
+        assert g.q + g.complement().q == g.p * (g.p - 1) // 2
 
 
 def test_relabel():
@@ -203,6 +209,6 @@ def test_complement_degree_sequence():
     assert DegreeSequence((3,) * 8).complement() == DegreeSequence((4,) * 8)
 
 
-@given(strategies.graphs(min_p=2, max_p=8))
-def test_complement_degree_sequence_matches_graphs(g):
-    assert g.complement().degree_sequence() == g.degree_sequence().complement()
+def test_complement_degree_sequence_matches_graphs(universe):
+    for g in _property_inputs(universe):
+        assert g.complement().degree_sequence() == g.degree_sequence().complement()
